@@ -73,7 +73,6 @@ class RunConfig:
     rtol: float = 1.0e-10
     atol: float = 1.0e-12
     out: Optional[str] = None
-    seed: int = 0
 
 
 class UsageError(ValueError):
@@ -209,7 +208,6 @@ def cmd_check(cfg: RunConfig) -> int:
         "equation": equation,
         "verdicts": [v.to_json() for v in verdicts],
         "exit": code,
-        "seed": cfg.seed,
     }
     if obstructions is not None:
         bundle["obstructions"] = obstructions
@@ -306,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rtol", type=float, default=1.0e-10)
         p.add_argument("--atol", type=float, default=1.0e-12)
         p.add_argument("--out", help="also write the JSON output here")
-        p.add_argument("--seed", type=int, default=0)
 
     for name in ("check", "transform", "oracle"):
         common(sub.add_parser(name))
@@ -335,7 +332,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         rtol=args.rtol,
         atol=args.atol,
         out=args.out,
-        seed=args.seed,
     )
 
 
