@@ -14,7 +14,6 @@ scaled normal form x' = (a1x - b1)(a2x - b2)x + (b1' - a1'x)x/b1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -405,6 +404,3 @@ def riccati_bound_applies(f: FactoredAbel) -> bool:
     cubic machinery in that case."""
     return f.a2.is_zero
 
-
-def period_float(p: Period) -> float:
-    return math.pi if p is Period.PI else 2 * math.pi

@@ -25,11 +25,10 @@ witnesses whose violated signs can be re-evaluated exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .abel import (
     FactoredAbel,
@@ -49,21 +48,19 @@ from .poly import (
     isolate_real_roots,
     refine_interval,
     sign_implication,
-    sign_on_real_line,
     sign_report_on_real_line,
 )
 from .trig import (
+    CircleChart,
     SignReport,
+    TrigLike,
     TrigPoly,
     TrigRational,
     cancel_pole_combination,
     definite_sign_report,
     has_odd_order_pole,
     rotate_half,
-    sample_theta,
 )
-
-TrigLike = Union[TrigPoly, TrigRational]
 
 
 class Outcome(str, Enum):
@@ -88,10 +85,6 @@ def _frac_str(x: Optional[Fraction]) -> Optional[str]:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 @dataclass(frozen=True)
 class Witness:
     """A chart sample (point or isolating interval) at which the named
@@ -107,14 +100,21 @@ class Witness:
     interval: Optional[tuple[Fraction, Fraction]] = None
     circle: Optional[tuple[Fraction, Fraction]] = None
 
+    def __post_init__(self):
+        if self.chart == "point" and self.circle is None:
+            raise ValueError("a point witness needs its exact circle coordinates")
+
+    def sample(self):
+        """The chart coordinate (the interval midpoint for an interval), or
+        the exact (cos, sin) of a point."""
+        if self.chart == "point":
+            return self.circle
+        if self.point is not None:
+            return self.point
+        return (self.interval[0] + self.interval[1]) / 2
+
     def theta(self) -> float:
-        if self.chart == "point" and self.circle is not None:
-            c, s = self.circle
-            return math.atan2(float(s), float(c)) % (2 * math.pi)
-        coord = self.point
-        if coord is None and self.interval is not None:
-            coord = (self.interval[0] + self.interval[1]) / 2
-        return sample_theta((self.chart, coord))
+        return CircleChart.angle(self.chart, self.sample())
 
     def to_json(self) -> dict:
         out: dict = {"condition": self.condition, "chart": self.chart}
@@ -144,8 +144,8 @@ class StrictnessEvidence:
             raise ValueError("strictness interval must have positive length")
 
     def theta_interval(self) -> tuple[float, float]:
-        a = sample_theta((self.chart, self.lo))
-        b = sample_theta((self.chart, self.hi))
+        a = CircleChart.angle(self.chart, self.lo)
+        b = CircleChart.angle(self.chart, self.hi)
         return (min(a, b), max(a, b))
 
     def to_json(self) -> dict:
@@ -194,82 +194,6 @@ class CriterionVerdict:
 # --- joint sign charts over the circle ------------------------------------
 
 
-@dataclass(frozen=True)
-class ChartPiece:
-    chart: str
-    proxies: tuple[RationalPoly, ...]
-
-
-@dataclass(frozen=True)
-class CirclePoint:
-    label: str
-    cos: Fraction
-    sin: Fraction
-    values: tuple[Fraction, ...]
-
-
-_TAN_POINTS = ((Fraction(0), Fraction(1), "pi/2"), (Fraction(0), Fraction(-1), "3pi/2"))
-_HALF_POINTS = ((Fraction(-1), Fraction(0), "pi"),)
-
-
-def _as_pair(f: TrigLike) -> tuple[TrigPoly, TrigPoly]:
-    if isinstance(f, TrigPoly):
-        return f, TrigPoly.constant(1)
-    r = f.reduced()
-    return r.num, r.den
-
-
-def chart_functions(fs: Sequence[TrigLike]) -> tuple[list[ChartPiece], list[CirclePoint]]:
-    """Joint sign charts for several functions: polynomial sign proxies on one
-    or two open chart pieces, plus the circle points the charts miss.
-
-    On every piece and point the proxy sign equals the function sign wherever
-    the function is defined, and is zero at its zeros and poles.
-    """
-    pairs = [_as_pair(f) for f in fs]
-    pure = all(
-        (n.is_zero or n.parity() is not None) and d.parity() is not None
-        for n, d in pairs
-    )
-    pieces: list[ChartPiece] = []
-    if pure:
-        prox: list[RationalPoly] = []
-        flips: list[int] = []
-        for n, d in pairs:
-            if n.is_zero:
-                prox.append(RationalPoly.zero())
-                flips.append(1)
-                continue
-            pn, dn = n.tan_chart()
-            pd, dd = d.tan_chart()
-            prox.append(pn * pd)
-            flips.append((-1) ** (dn + dd))
-        pieces.append(ChartPiece("tan", tuple(prox)))
-        if any(fl < 0 for fl in flips):
-            pieces.append(
-                ChartPiece("tan2", tuple(p.scale(fl) for p, fl in zip(prox, flips)))
-            )
-        raw_points = _TAN_POINTS
-    else:
-        prox = []
-        for n, d in pairs:
-            if n.is_zero:
-                prox.append(RationalPoly.zero())
-                continue
-            nn, _ = n.half_angle_chart()
-            nd, _ = d.half_angle_chart()
-            prox.append(nn * nd)
-        pieces.append(ChartPiece("half", tuple(prox)))
-        raw_points = _HALF_POINTS
-    points = [
-        CirclePoint(
-            label, c, s, tuple(n.eval_at(c, s) * d.eval_at(c, s) for n, d in pairs)
-        )
-        for c, s, label in raw_points
-    ]
-    return pieces, points
-
-
 def circle_implication(
     premise: TrigLike,
     prem_dir: int,
@@ -283,19 +207,16 @@ def circle_implication(
     Zeros and poles of the premise never activate it; zeros and poles of the
     conclusion never violate it (proxy value zero lands in the closed class).
     """
-    pieces, points = chart_functions([premise, conclusion])
+    chart = CircleChart((premise, conclusion))
     cond_a = "<0" if prem_dir < 0 else ">0"
     cond_b = ">=0" if concl_dir > 0 else "<=0"
-    for piece in pieces:
-        holds, sample = sign_implication(
-            piece.proxies[0], cond_a, piece.proxies[1], cond_b
-        )
+    for name, (pp, pc) in chart.pieces:
+        holds, sample = sign_implication(pp, cond_a, pc, cond_b, chart.cells)
         if not holds:
-            return False, Witness(condition, piece.chart, point=sample)
-    for pt in points:
-        vp, vc = pt.values
+            return False, Witness(condition, name, point=sample)
+    for circle, (vp, vc) in chart.points:
         if vp * prem_dir > 0 and vc * concl_dir < 0:
-            return False, Witness(condition, "point", circle=(pt.cos, pt.sin))
+            return False, Witness(condition, "point", circle=circle)
     return True, None
 
 
@@ -305,64 +226,25 @@ def circle_strict_interval(
     """A positive-length chart interval where every constraint keeps its
     requested strict sign, or None when no such interval exists anywhere (the
     chart cells are exhaustive, so None is a certificate of absence)."""
-    pieces, _ = chart_functions([f for f, _ in constraints])
+    chart = CircleChart([f for f, _ in constraints])
     dirs = [d for _, d in constraints]
-    for piece in pieces:
-        got = find_strict_interval(list(zip(piece.proxies, dirs)))
+    for name, proxies in chart.pieces:
+        got = find_strict_interval(list(zip(proxies, dirs)), chart.cells)
         if got is not None:
-            return StrictnessEvidence(condition, piece.chart, got[0], got[1])
+            return StrictnessEvidence(condition, name, got[0], got[1])
     return None
 
 
-def sign_at_sample(
-    f: TrigLike,
-    chart: str,
-    coordinate: Optional[Fraction] = None,
-    circle: Optional[tuple[Fraction, Fraction]] = None,
-) -> int:
-    """Exact sign of f at a chart sample; the re-validation path for
-    witnesses. Returns 0 at zeros and poles."""
-    n, d = _as_pair(f)
-    if chart == "point":
-        c, s = circle
-        return _sgn(n.eval_at(c, s) * d.eval_at(c, s))
-    if chart in ("tan", "tan2"):
-        if n.is_zero:
-            return 0
-        pn, dn = n.tan_chart()
-        pd, dd = d.tan_chart()
-        v = pn.evaluate(coordinate) * pd.evaluate(coordinate)
-        if chart == "tan2" and (dn + dd) % 2 == 1:
-            v = -v
-        return _sgn(v)
-    if chart == "half":
-        if n.is_zero:
-            return 0
-        nn, _ = n.half_angle_chart()
-        nd, _ = d.half_angle_chart()
-        return _sgn(nn.evaluate(coordinate) * nd.evaluate(coordinate))
-    raise ValueError(f"unknown chart {chart!r}")
-
-
 def witness_sign(f: TrigLike, w: Witness) -> int:
-    return sign_at_sample(f, w.chart, w.point, w.circle)
+    """Exact sign of f at the witness sample; the re-validation path for
+    witnesses. Returns 0 at zeros and poles."""
+    return f.chart.sign(w.chart, w.sample())
 
 
-_POINT_ANGLES = (
-    (math.pi / 2, (Fraction(0), Fraction(1))),
-    (math.pi, (Fraction(-1), Fraction(0))),
-    (3 * math.pi / 2, (Fraction(0), Fraction(-1))),
-)
-
-
-def _witness_from_sample(condition: str, sample: tuple[str, Fraction]) -> Witness:
+def _witness_from_sample(condition: str, sample: tuple) -> Witness:
     chart, coord = sample
     if chart == "point":
-        angle = float(coord)
-        for ref, circle in _POINT_ANGLES:
-            if abs(angle - ref) < 1e-6:
-                return Witness(condition, "point", circle=circle)
-        return Witness(condition, "point", point=coord)
+        return Witness(condition, "point", circle=coord)
     return Witness(condition, chart, point=coord)
 
 
@@ -377,16 +259,16 @@ def _sign_change_witnesses(label: str, rep: SignReport) -> list[Witness]:
 
 def _zero_witness(fp: TrigPoly, label: str) -> Optional[Witness]:
     """An isolating interval (or exact point) around a zero of fp."""
-    pieces, points = chart_functions([fp])
-    for piece in pieces:
-        p = piece.proxies[0]
-        if not p.is_zero and p.degree > 0:
-            intervals = isolate_real_roots(p)
-            if intervals:
-                return Witness(label, piece.chart, interval=intervals[0])
-    for pt in points:
-        if pt.values[0] == 0:
-            return Witness(label, "point", circle=(pt.cos, pt.sin))
+    chart = CircleChart((fp,))
+    # a 'tan2' piece has the roots of the 'tan' one
+    name, (p,) = chart.pieces[0]
+    if p.degree > 0:
+        intervals = isolate_real_roots(p)
+        if intervals:
+            return Witness(label, name, interval=intervals[0])
+    for circle, (v,) in chart.points:
+        if v == 0:
+            return Witness(label, "point", circle=circle)
     return None
 
 
@@ -458,13 +340,14 @@ def _root_obstructions(
 
 def linear_parameter_feasible(
     pairs: Sequence[tuple[RationalPoly, RationalPoly]],
-    value_planes: Sequence[tuple[Fraction, Fraction]] = (),
+    value_planes: Sequence[tuple[Fraction, Fraction, Optional[Witness]]] = (),
     candidates: Sequence[Fraction] = (),
     max_rounds: int = 32,
     chart: str = "half",
 ) -> FeasibilityOutcome:
     """Decide whether some rational mu satisfies pa + mu*pb >= 0 on all of R
-    for every pair, and va + mu*vb >= 0 for every value plane.
+    for every pair, and va + mu*vb >= 0 for every value plane (va, vb, witness);
+    a plane that comes from a circle point names it in its witness.
 
     Infeasibility is certified two ways: a root of some pb where pa < 0, or an
     empty intersection of the half-line constraints collected from exact
@@ -511,13 +394,15 @@ def linear_parameter_feasible(
             note="the sign constraints on the multiplier are contradictory",
         )
 
-    def add(va: Fraction, vb: Fraction, wit: Witness) -> Optional[FeasibilityOutcome]:
+    def add(
+        va: Fraction, vb: Fraction, wit: Optional[Witness]
+    ) -> Optional[FeasibilityOutcome]:
         nonlocal lo, hi, lo_w, hi_w
         if vb == 0:
             if va < 0:
                 return FeasibilityOutcome(
                     "Infeasible",
-                    witnesses=(wit,),
+                    witnesses=(wit,) if wit is not None else (),
                     note="a constraint independent of the multiplier is violated",
                 )
             return None
@@ -532,8 +417,8 @@ def linear_parameter_feasible(
             return conflict()
         return None
 
-    for idx, (va, vb) in enumerate(value_planes):
-        res = add(va, vb, Witness(f"fixed-point constraint {idx}", "point"))
+    for va, vb, wit in value_planes:
+        res = add(va, vb, wit)
         if res is not None:
             return res
     for pa, pb in pairs:
@@ -613,7 +498,8 @@ def definite_combination_feasible(
 ) -> FeasibilityOutcome:
     """Decide whether some rational mu makes sign*(base + mu*multiplier) >= 0
     on the whole circle. Both functions must be pole-free; the decision runs
-    on common-denominator half-angle numerators plus the point theta = pi."""
+    on common-denominator half-angle numerators plus the point theta = pi.
+    parameter_planes are extra constraints va + mu*vb >= 0 on mu alone."""
     rl = _as_rational(base).reduced()
     rm = _as_rational(multiplier).reduced()
     if not rl.pole_free() or not rm.pole_free():
@@ -627,9 +513,15 @@ def definite_combination_feasible(
     # the common denominator ql*qm_red is positive on all of R
     na = (pl * qm_red).scale(sign)
     nb = (pm * ql_red).scale(sign)
-    c, s = Fraction(-1), Fraction(0)
-    planes = [(sign * rl.eval_at(c, s), sign * rm.eval_at(c, s))]
-    planes.extend(parameter_planes)
+    at_pi = (Fraction(-1), Fraction(0))
+    planes = [
+        (
+            sign * rl.eval_at(*at_pi),
+            sign * rm.eval_at(*at_pi),
+            Witness("the combination at theta = pi", "point", circle=at_pi),
+        )
+    ]
+    planes.extend((va, vb, None) for va, vb in parameter_planes)
     return linear_parameter_feasible([(na, nb)], planes, candidates, max_rounds)
 
 
@@ -1206,10 +1098,8 @@ def _chart_combination_check(omega1: TrigPoly, omega2: TrigPoly) -> ObstructionC
         return ObstructionCheck(
             check_id, False, note="a part vanishes identically (degenerate)"
         )
-    pieces, _ = chart_functions([omega1, omega2])
-    p1, p2 = pieces[0].proxies
-    chart = pieces[0].chart
-    s1 = sign_on_real_line(p1)
+    chart, (p1, p2) = CircleChart((omega1, omega2)).pieces[0]
+    s1 = sign_report_on_real_line(p1)[0]
     if s1 is not SignOnSet.MIXED:
         return ObstructionCheck(
             check_id,

@@ -31,7 +31,7 @@ from .abel import (
     classify_region,
     negative_component_transform,
 )
-from .trig import Period, TrigRational
+from .trig import TrigRational
 
 Equation = Union[AbelEquation, FactoredAbel]
 
@@ -132,10 +132,6 @@ class CycleReport:
 # --- coefficient compilation -----------------------------------------------
 
 
-def period_float(p: Period) -> float:
-    return math.pi if p is Period.PI else 2.0 * math.pi
-
-
 class _PoleGuard(Exception):
     pass
 
@@ -165,7 +161,7 @@ class CubicField:
             _compile_rational(abel.c3),
         ]
         self.guard = guard
-        self.period = period_float(abel.period)
+        self.period = abel.period.value_float
 
     def values(self, t: float) -> tuple[float, float, float]:
         c, s = math.cos(t), math.sin(t)
@@ -454,7 +450,7 @@ def count_cycles_in_V(
     escaped_total = 0
     total = 0
     for label, eq, lo, hi in comps:
-        period = period_float(eq.period)
+        period = eq.period.value_float
         samples = displacement_map(eq, graded_grid(lo, hi, grid_density), cfg)
         total += len(samples)
         escaped_total += sum(1 for s in samples if s.escaped)
@@ -502,7 +498,7 @@ def verify_invariance(
     """
     if curve not in ("zero", "a1"):
         raise ValueError("curve must be 'zero' or 'a1'")
-    period = period_float(f.period)
+    period = f.period.value_float
     t_lo, t_hi = theta_range if theta_range is not None else (0.0, period)
     if curve == "zero":
         x0 = 0.0
@@ -539,7 +535,7 @@ def stability_integral(f: FactoredAbel, eta: float = 0.0, panels: int = 4096) ->
     """Numeric value of exp(integral of a1 b2 - a2 + eta a1'/a1) - 1 over one
     period; in the two-component region its sign matches the measured
     stability of the cycle riding the a1 curve."""
-    period = period_float(f.period)
+    period = f.period.value_float
 
     def value(theta: float) -> float:
         c, s = math.cos(theta), math.sin(theta)

@@ -503,7 +503,11 @@ _CONCLUSION_OK = {"<=0": lambda s: s <= 0, ">=0": lambda s: s >= 0}
 
 
 def sign_implication(
-    a: RationalPoly, cond_a: str, b: RationalPoly, cond_b: str
+    a: RationalPoly,
+    cond_a: str,
+    b: RationalPoly,
+    cond_b: str,
+    cells: Optional[CellDecomposition] = None,
 ) -> tuple[bool, Optional[Fraction]]:
     """Decide whether A(t) cond_a implies B(t) cond_b for every real t.
 
@@ -512,6 +516,8 @@ def sign_implication(
     point violating the implication. Decision: at roots of A the premise is
     false and at roots of B the non-strict conclusion holds, so it is enough
     to check one rational sample inside each open cell cut by roots of A*B.
+    `cells`, when given, must be those cells (from polynomials with the same
+    real roots), so a caller can reuse one isolation for several sign flips.
     """
     if cond_a not in _PREMISE_OK or cond_b not in _CONCLUSION_OK:
         raise ValueError(f"unsupported condition pair {cond_a!r}, {cond_b!r}")
@@ -521,7 +527,8 @@ def sign_implication(
         return True, None
     prem = _PREMISE_OK[cond_a]
     concl = _CONCLUSION_OK[cond_b]
-    cells = real_line_cells([a, b])
+    if cells is None:
+        cells = real_line_cells([a, b])
     for s in cells.samples:
         if prem(_sign(a.evaluate(s))) and not concl(_sign(b.evaluate(s))):
             return False, s
@@ -529,18 +536,21 @@ def sign_implication(
 
 
 def find_strict_interval(
-    constraints: Sequence[tuple[RationalPoly, int]]
+    constraints: Sequence[tuple[RationalPoly, int]],
+    cells: Optional[CellDecomposition] = None,
 ) -> Optional[tuple[Fraction, Fraction]]:
     """A closed rational interval of positive length where every polynomial
     keeps the requested strict sign (+1 or -1), or None.
 
     The interval is a root-free gap of the product polynomial, so a single
-    exact sample certifies the strict signs on all of it.
+    exact sample certifies the strict signs on all of it. `cells` may be
+    passed in as for sign_implication.
     """
     polys = [p for p, _ in constraints]
     if any(p.is_zero for p in polys):
         return None
-    cells = real_line_cells(polys)
+    if cells is None:
+        cells = real_line_cells(polys)
     n = len(cells.samples)
     for idx, s in enumerate(cells.samples):
         if all(_sign(p.evaluate(s)) == want for p, want in constraints):
@@ -554,26 +564,6 @@ def find_strict_interval(
             right = cells.intervals[idx][0]
             return (left, right)
     return None
-
-
-def sign_on_real_line(p: RationalPoly) -> SignOnSet:
-    """Exact sign classification of p over all of R."""
-    if p.is_zero:
-        return SignOnSet.IDENTICALLY_ZERO
-    if p.degree == 0:
-        return (
-            SignOnSet.STRICTLY_POSITIVE if p.leading > 0 else SignOnSet.STRICTLY_NEGATIVE
-        )
-    cells = real_line_cells([p])
-    has_zero = bool(cells.intervals)
-    has_pos = has_neg = False
-    for s in cells.samples:
-        v = _sign(p.evaluate(s))
-        has_pos |= v > 0
-        has_neg |= v < 0
-        # a sample can only be zero if p has an even-multiplicity root there;
-        # cells are cut by roots of the squarefree part, so v == 0 cannot occur
-    return sign_set_from_flags(has_pos, has_zero, has_neg)
 
 
 def sign_report_on_real_line(

@@ -69,13 +69,13 @@ def parse_input(data: dict) -> ParsedInput:
             model = AbelEquation.from_json(data)
         else:
             model = FactoredAbel.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"malformed {kind} input: {exc}") from exc
     a1 = None
     if kind in ("planar", "abel") and "a1" in data:
         try:
             a1 = TrigPoly.from_json(data["a1"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed a1 candidate: {exc}") from exc
     return ParsedInput(kind, model, a1)
 

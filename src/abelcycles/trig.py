@@ -12,7 +12,11 @@ Sign questions over a full period are settled exactly in one of two charts:
 * half-angle chart, u = tan(t/2): any f equals N(u)/(1+u^2)^k on the circle
   minus the single point t = pi, with N rational.
 
-Both charts reduce circle questions to RationalPoly sign decisions.
+Both charts reduce circle questions to RationalPoly sign decisions. A
+CircleChart picks the chart for several functions at once and carries the
+circle points it misses exactly; each function builds its own chart
+polynomials once, on first use, and keeps them (`TrigPoly.chart`,
+`TrigRational.chart`).
 """
 
 from __future__ import annotations
@@ -21,14 +25,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence, Union
 
 from .poly import (
+    CellDecomposition,
     RationalPoly,
     SignOnSet,
     as_fraction,
     count_distinct_roots,
     join_sign_sets,
+    real_line_cells,
     sign_report_on_real_line,
 )
 
@@ -225,6 +232,10 @@ class TrigPoly:
                 raw.append((l, spow, a * scale * _binom(e, l) * sgn**l))
         return TrigPoly.from_terms(raw)
 
+    @cached_property
+    def chart(self) -> "FunctionChart":
+        return FunctionChart(self)
+
     def to_json(self) -> list[dict]:
         return [
             {"i": i, "j": j, "c": f"{c.numerator}/{c.denominator}"}
@@ -253,17 +264,6 @@ def circle_point(u: Fraction) -> tuple[Fraction, Fraction]:
     """Rational point (cos t, sin t) for u = tan(t/2)."""
     d = 1 + u * u
     return (1 - u * u) / d, 2 * u / d
-
-
-def theta_from_half_angle(u: Fraction) -> float:
-    return 2.0 * math.atan(float(u))
-
-
-def theta_from_tangent(t: Fraction, second_half: bool = False) -> float:
-    theta = math.atan(float(t))
-    if second_half:
-        theta += math.pi
-    return theta % (2 * math.pi)
 
 
 class PoleError(ZeroDivisionError):
@@ -391,6 +391,11 @@ class TrigRational:
             return Period.PI
         return Period.TWO_PI
 
+    @cached_property
+    def chart(self) -> "FunctionChart":
+        r = self.reduced()
+        return FunctionChart(r.num, r.den)
+
     def pole_free(self) -> bool:
         """True when the reduced denominator never vanishes on the circle."""
         r = self.reduced()
@@ -416,29 +421,134 @@ class TrigRational:
         return f"TrigRational({self.num!r} / {self.den!r})"
 
 
+TrigLike = Union[TrigPoly, TrigRational]
+
+
+def _sgn(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class FunctionChart:
+    """One function in both charts: its sign proxy is chart numerator times
+    chart denominator of the reduced form, so it has the function's sign
+    wherever the function is defined and vanishes at its zeros and poles.
+    Each chart is built on first use."""
+
+    def __init__(self, num: TrigPoly, den: Optional[TrigPoly] = None):
+        self.num = num
+        self.den = den  # None for a polynomial
+        self.pure = num.parity() is not None and (den is None or den.parity() is not None)
+
+    @cached_property
+    def tan(self) -> tuple[RationalPoly, bool]:
+        """Proxy in x = tan t, and whether the sign flips on the shifted half
+        period (the trig degrees of numerator and denominator sum to odd)."""
+        if self.num.is_zero:
+            return RationalPoly.zero(), False
+        p, d = self.num.tan_chart()
+        if self.den is not None:
+            q, e = self.den.tan_chart()
+            p, d = p * q, d + e
+        return p, d % 2 == 1
+
+    @cached_property
+    def half(self) -> RationalPoly:
+        """Proxy in u = tan(t/2)."""
+        if self.num.is_zero:
+            return RationalPoly.zero()
+        n, _ = self.num.half_angle_chart()
+        if self.den is not None:
+            n = n * self.den.half_angle_chart()[0]
+        return n
+
+    def value(self, c: Fraction, s: Fraction) -> Fraction:
+        """Exact proxy value at the circle point (c, s)."""
+        v = self.num.eval_at(c, s)
+        return v if self.den is None else v * self.den.eval_at(c, s)
+
+    def sign(self, chart: str, coord) -> int:
+        """Exact sign at a chart sample (see CircleChart.angle); 0 at zeros
+        and poles."""
+        if chart == "point":
+            return _sgn(self.value(*coord))
+        if chart == "half":
+            return _sgn(self.half.evaluate(coord))
+        if chart not in ("tan", "tan2"):
+            raise ValueError(f"unknown chart {chart!r}")
+        p, flip = self.tan
+        v = _sgn(p.evaluate(coord))
+        return -v if chart == "tan2" and flip else v
+
+
+_TAN_MISSED = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1)))  # pi/2, 3pi/2
+_HALF_MISSED = ((Fraction(-1), Fraction(0)),)  # pi
+
+
+class CircleChart:
+    """Joint sign chart of several functions over the circle.
+
+    When every function is parity-pure the chart is the tangent one: piece
+    'tan' on (-pi/2, pi/2), plus piece 'tan2' on the shifted half period when
+    some function flips sign there, and the missed points pi/2 and 3pi/2.
+    Otherwise it is the half-angle chart: piece 'half' and the missed point
+    pi. `pieces` holds (name, proxies) with one proxy per function, and
+    `points` holds ((cos, sin), proxy values) for the missed points.
+    """
+
+    def __init__(self, functions: Sequence[TrigLike]):
+        charts = [f.chart for f in functions]
+        if all(fc.pure for fc in charts):
+            tan = [fc.tan for fc in charts]
+            self.pieces = [("tan", tuple(p for p, _ in tan))]
+            if any(flip for _, flip in tan):
+                self.pieces.append(
+                    ("tan2", tuple(p.scale(-1) if flip else p for p, flip in tan))
+                )
+            missed = _TAN_MISSED
+        else:
+            self.pieces = [("half", tuple(fc.half for fc in charts))]
+            missed = _HALF_MISSED
+        self.points = [
+            ((c, s), tuple(fc.value(c, s) for fc in charts)) for c, s in missed
+        ]
+
+    @cached_property
+    def cells(self) -> Optional[CellDecomposition]:
+        """Real-line cells cut by the roots of the proxies, or None when some
+        proxy vanishes identically. 'tan2' proxies have the same roots as
+        'tan' ones, so every piece shares these cells."""
+        proxies = self.pieces[0][1]
+        if any(p.is_zero for p in proxies):
+            return None
+        return real_line_cells(proxies)
+
+    @staticmethod
+    def angle(chart: str, coord) -> float:
+        """Float angle of a chart sample. coord is tan t for 'tan' and 'tan2'
+        (the shifted half period), tan(t/2) for 'half' (the angle stays in
+        (-pi, pi]), and the exact (cos, sin) for 'point'."""
+        if chart == "point":
+            c, s = coord
+            return math.atan2(float(s), float(c)) % (2 * math.pi)
+        if chart == "half":
+            return 2.0 * math.atan(float(coord))
+        theta = math.atan(float(coord))
+        if chart == "tan2":
+            theta += math.pi
+        return theta % (2 * math.pi)
+
+
 @dataclass(frozen=True)
 class SignReport:
     """Sign classification over one full period with attaining samples.
 
-    Samples are (chart, coordinate) pairs: chart 'tan' or 'tan2' (shifted half
-    period) with coordinate tan t, chart 'half' with coordinate tan(t/2), or
-    chart 'point' with the float angle itself.
+    Samples are (chart, coordinate) pairs as taken by CircleChart.angle; a
+    'point' sample carries its exact (cos, sin).
     """
 
     sign: SignOnSet
-    positive_at: Optional[tuple[str, Fraction]] = None
-    negative_at: Optional[tuple[str, Fraction]] = None
-
-
-def sample_theta(sample: tuple[str, Fraction]) -> float:
-    chart, coord = sample
-    if chart == "tan":
-        return theta_from_tangent(coord)
-    if chart == "tan2":
-        return theta_from_tangent(coord, second_half=True)
-    if chart == "half":
-        return theta_from_half_angle(coord)
-    return float(coord)
+    positive_at: Optional[tuple] = None
+    negative_at: Optional[tuple] = None
 
 
 def _point_sign_set(value: Fraction) -> SignOnSet:
@@ -464,53 +574,22 @@ def definite_sign_report(f: TrigPoly) -> SignReport:
     """Exact sign classification of f over [0, 2pi] with witnesses."""
     if f.is_zero:
         return SignReport(SignOnSet.IDENTICALLY_ZERO)
-    parity = f.parity()
-    pieces: list[SignOnSet] = []
-    pos_at = neg_at = None
-
-    def record(sign_val, where):
-        nonlocal pos_at, neg_at
-        if sign_val > 0 and pos_at is None:
-            pos_at = where
-        if sign_val < 0 and neg_at is None:
-            neg_at = where
-
-    if parity is not None:
-        p, d = f.tan_chart()
-        s_open, pos_t, neg_t = sign_report_on_real_line(p)
-        pieces.append(s_open)
-        if pos_t is not None:
-            record(1, ("tan", pos_t))
-        if neg_t is not None:
-            record(-1, ("tan", neg_t))
-        if d % 2 == 1:
-            pieces.append(_flip_sign_set(s_open))
-            if pos_t is not None:
-                record(-1, ("tan2", pos_t))
-            if neg_t is not None:
-                record(1, ("tan2", neg_t))
-        # the tangent chart misses t = +-pi/2
-        for s_val, angle in (
-            (f.eval_at(Fraction(0), Fraction(1)), math.pi / 2),
-            (f.eval_at(Fraction(0), Fraction(-1)), 3 * math.pi / 2),
-        ):
-            pieces.append(_point_sign_set(s_val))
-            if s_val:
-                record(1 if s_val > 0 else -1, ("point", Fraction(angle).limit_denominator(10**9)))
-    else:
-        n, _ = f.half_angle_chart()
-        s_open, pos_u, neg_u = sign_report_on_real_line(n)
-        pieces.append(s_open)
-        if pos_u is not None:
-            record(1, ("half", pos_u))
-        if neg_u is not None:
-            record(-1, ("half", neg_u))
-        v = f.eval_at(Fraction(-1), Fraction(0))  # t = pi, missed by the chart
-        pieces.append(_point_sign_set(v))
-        if v:
-            record(1 if v > 0 else -1, ("point", Fraction(math.pi).limit_denominator(10**9)))
-
-    return SignReport(join_sign_sets(*pieces), pos_at, neg_at)
+    chart = CircleChart((f,))
+    name, (p,) = chart.pieces[0]
+    s_open, pos, neg = sign_report_on_real_line(p)
+    signs = [s_open]
+    samples = [(1, name, pos), (-1, name, neg)]
+    if len(chart.pieces) == 2:  # 'tan2': the same samples, sign flipped
+        signs.append(_flip_sign_set(s_open))
+        samples += [(-1, "tan2", pos), (1, "tan2", neg)]
+    for circle, (v,) in chart.points:
+        signs.append(_point_sign_set(v))
+        samples.append((_sgn(v), "point", circle))
+    pos_at, neg_at = (
+        next(((c, x) for s, c, x in samples if s == want and x is not None), None)
+        for want in (1, -1)
+    )
+    return SignReport(join_sign_sets(*signs), pos_at, neg_at)
 
 
 def definite_sign_on_period(f) -> SignOnSet:

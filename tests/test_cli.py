@@ -2,11 +2,13 @@
 
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
 from abelcycles.abel import FactoredAbel
 from abelcycles.cli import main
+from abelcycles.criteria import Witness, witness_sign
 from abelcycles.gallery import (
     example1_factored,
     example1_input,
@@ -62,8 +64,13 @@ class TestSchemas:
         assert parsed.a1_candidate == TrigPoly.from_terms([(3, 3, 1)])
 
     def test_malformed_terms_raise(self):
+        one = [{"i": 0, "j": 0, "c": "1"}]
         with pytest.raises(SchemaError):
             parse_input({"a1": "not-a-term-list", "a2": [], "b2": []})
+        with pytest.raises(SchemaError):
+            parse_input({"a1": [{"i": 0, "j": 0, "c": "1/0"}], "a2": one, "b2": one})
+        with pytest.raises(SchemaError):
+            parse_input({"a1": one, "a2": {"num": one, "den": []}, "b2": one})
 
 
 class TestCheck:
@@ -119,6 +126,71 @@ class TestCheck:
         main(["check", "--input", gallery1, "--out", str(out1)])
         main(["check", "--input", gallery1, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def _term(i, j, c):
+    return {"i": i, "j": j, "c": c}
+
+
+# Inputs whose multiplier search ends on the constraint at theta = pi: the
+# normalized criterion for the factored one, the weighted-product obstruction
+# for the homogeneous one. Its witness once had no circle coordinates, and
+# serialising it crashed the command.
+THETA_PI_INPUTS = {
+    "factored": {
+        "a1": [_term(0, 0, "1")],
+        "a2": [_term(0, 0, "-1"), _term(0, 1, "-3"), _term(1, 0, "3"), _term(2, 0, "1")],
+        "b2": [_term(0, 0, "1"), _term(0, 1, "-2"), _term(1, 0, "3"), _term(2, 0, "-2")],
+    },
+    "homogeneous": {
+        "a": "2",
+        "n": 2,
+        "P": [_term(1, 1, "-2"), _term(2, 0, "-1")],
+        "Q": [_term(1, 1, "-1"), _term(2, 0, "2")],
+    },
+}
+
+
+def _witness_from_json(data: dict) -> Witness:
+    circle = data.get("circle")
+    return Witness(
+        data["condition"],
+        data["chart"],
+        point=Fraction(data["point"]) if "point" in data else None,
+        interval=tuple(map(Fraction, data["interval"])) if "interval" in data else None,
+        circle=(Fraction(circle["cos"]), Fraction(circle["sin"])) if circle else None,
+    )
+
+
+class TestThetaPiConstraint:
+    @pytest.mark.parametrize("kind", sorted(THETA_PI_INPUTS))
+    def test_real_verdict_with_revalidated_witnesses(self, kind, tmp_path, capsys):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(dumps(THETA_PI_INPUTS[kind]))
+        code = main(["check", "--input", str(path)])
+        bundle = json.loads(capsys.readouterr().out)
+        assert code == bundle["exit"] == 1
+        model = parse_input(THETA_PI_INPUTS[kind]).model
+        if kind == "factored":
+            functions = (model.a1, model.a2, model.b2)
+        else:
+            psi, phi = model.psi(), model.phi()
+            functions = (psi, phi, (psi.scale(model.a) - phi) * phi)
+        groups = bundle["verdicts"] + bundle.get("obstructions", {}).get("checks", [])
+        witnesses = [w for g in groups for w in g["witnesses"]]
+        at_pi = [w for w in witnesses if w["condition"] == "the combination at theta = pi"]
+        assert at_pi and all(w["circle"] == {"cos": "-1/1", "sin": "0/1"} for w in at_pi)
+        for data in witnesses:
+            w = _witness_from_json(data)
+            assert w.to_json() == data
+            for f in functions:
+                approx = f.evaluate_float(w.theta())
+                if abs(approx) > 1e-9:
+                    assert witness_sign(f, w) == (1 if approx > 0 else -1)
+
+    def test_point_witness_needs_circle(self):
+        with pytest.raises(ValueError):
+            Witness("somewhere", "point")
 
 
 class TestTransform:

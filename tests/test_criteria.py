@@ -25,7 +25,6 @@ from abelcycles.criteria import (
     eta_candidates,
     linear_parameter_feasible,
     obstruction_report,
-    sign_at_sample,
     witness_sign,
 )
 from abelcycles.planar import HomogeneousSystem, cherkas_transform
@@ -108,8 +107,8 @@ class TestFactoredCriteria:
         ev = v.strictness
         assert ev is not None and ev.lo < ev.hi
         mid = (ev.lo + ev.hi) / 2
-        assert sign_at_sample(EX1_A1, ev.chart, mid) == -1
-        assert sign_at_sample(EX1_A2, ev.chart, mid) == 1
+        assert EX1_A1.chart.sign(ev.chart, mid) == -1
+        assert EX1_A2.chart.sign(ev.chart, mid) == 1
 
     def test_gallery_no_cycle_fails_with_checkable_witnesses(self):
         v = check_no_cycle(EX1_FACTORED, EX1_ETA)
@@ -504,9 +503,9 @@ class TestFeasibilityEngine:
         out = linear_parameter_feasible([(RationalPoly([1]), RationalPoly([0, 0, 1]))])
         assert out.status == "Feasible"
         check = RationalPoly([1]) + RationalPoly([0, 0, 1]).scale(out.value)
-        from abelcycles.poly import sign_on_real_line
+        from abelcycles.poly import sign_report_on_real_line
 
-        assert sign_on_real_line(check).is_nonnegative
+        assert sign_report_on_real_line(check)[0].is_nonnegative
 
     def test_contradictory_planes(self):
         # t + mu >= 0 for all t is impossible

@@ -13,7 +13,6 @@ from abelcycles.oracle import (
     displacement_map,
     graded_grid,
     integrate,
-    period_float,
     stability_integral,
     verify_invariance,
     write_displacement_csv,
@@ -57,7 +56,7 @@ class TestIntegrator:
     def test_autonomous_cubic_moves_up_from_half(self):
         # x' = x (1 - x^2) pushes (0, 1) upward, so d(0.5) > 0
         f = constants(1, -1, 1)
-        r = integrate(f, 0.5, 0.0, period_float(f.period), CFG)
+        r = integrate(f, 0.5, 0.0, f.period.value_float, CFG)
         assert not r.escaped
         assert r.value - 0.5 > 0.1
 
@@ -214,7 +213,7 @@ class TestStabilityIntegral:
         from abelcycles.abel import negative_component_transform
 
         g = negative_component_transform(f)
-        r = integrate(g, 1.0, 0.0, period_float(g.period), CFG)
+        r = integrate(g, 1.0, 0.0, g.period.value_float, CFG)
         assert not r.escaped
         assert abs(r.value - 1.0) < 1e-9
         measured = r.variation - 1.0

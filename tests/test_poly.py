@@ -19,7 +19,7 @@ from abelcycles.poly import (
     find_strict_interval,
     isolate_real_roots,
     sign_implication,
-    sign_on_real_line,
+    sign_report_on_real_line,
     sign_variations,
     sturm_sequence,
 )
@@ -224,12 +224,12 @@ class TestIsolation:
 
 class TestSignDecisions:
     def test_sign_on_real_line_examples(self):
-        assert sign_on_real_line(P([6])) == SignOnSet.STRICTLY_POSITIVE
-        assert sign_on_real_line(P([0, 0, 1])) == SignOnSet.NON_NEGATIVE
-        assert sign_on_real_line(P([0, 0, 0, 1])) == SignOnSet.MIXED
-        assert sign_on_real_line(P([-1, 0, -1])) == SignOnSet.STRICTLY_NEGATIVE
-        assert sign_on_real_line(RationalPoly.zero()) == SignOnSet.IDENTICALLY_ZERO
-        assert sign_on_real_line(-P([0, 0, 1])) == SignOnSet.NON_POSITIVE
+        assert sign_report_on_real_line(P([6]))[0] == SignOnSet.STRICTLY_POSITIVE
+        assert sign_report_on_real_line(P([0, 0, 1]))[0] == SignOnSet.NON_NEGATIVE
+        assert sign_report_on_real_line(P([0, 0, 0, 1]))[0] == SignOnSet.MIXED
+        assert sign_report_on_real_line(P([-1, 0, -1]))[0] == SignOnSet.STRICTLY_NEGATIVE
+        assert sign_report_on_real_line(RationalPoly.zero())[0] == SignOnSet.IDENTICALLY_ZERO
+        assert sign_report_on_real_line(-P([0, 0, 1]))[0] == SignOnSet.NON_POSITIVE
 
     def test_implication_examples(self):
         holds, witness = sign_implication(P1, "<0", P2, ">=0")

@@ -16,6 +16,7 @@ from abelcycles.poly import RationalPoly, SignOnSet
 from abelcycles.trig import (
     NonHomogeneousError,
     Period,
+    CircleChart,
     PoleError,
     TrigPoly,
     TrigRational,
@@ -23,7 +24,6 @@ from abelcycles.trig import (
     circle_point,
     definite_sign_on_period,
     definite_sign_report,
-    sample_theta,
 )
 from oracles import trig_grid_extrema
 
@@ -340,9 +340,11 @@ class TestSignClassification:
     def test_witness_samples_have_claimed_signs(self, f):
         report = definite_sign_report(f)
         if report.positive_at is not None:
-            assert f.evaluate_float(sample_theta(report.positive_at)) > 0
+            assert f.chart.sign(*report.positive_at) == 1
+            assert f.evaluate_float(CircleChart.angle(*report.positive_at)) > 0
         if report.negative_at is not None:
-            assert f.evaluate_float(sample_theta(report.negative_at)) < 0
+            assert f.chart.sign(*report.negative_at) == -1
+            assert f.evaluate_float(CircleChart.angle(*report.negative_at)) < 0
         if report.sign is SignOnSet.MIXED:
             assert report.positive_at is not None
             assert report.negative_at is not None
