@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -35,14 +35,7 @@ from .criteria import (
     obstruction_report,
 )
 from .gallery import reproduce
-from .oracle import (
-    IntegratorConfig,
-    count_cycles_in_V,
-    displacement_map,
-    fiber_components,
-    graded_grid,
-    write_displacement_csv,
-)
+from .oracle import IntegratorConfig, count_cycles_in_V, write_displacement_csv
 from .planar import (
     HomogeneousSystem,
     PlanarPolySystem,
@@ -66,7 +59,6 @@ PLANAR_CRITERIA = ("planar_no_cycle", "planar_at_most_one")
 @dataclass(frozen=True)
 class RunConfig:
     input: Optional[str] = None
-    pipeline: str = "auto"
     criteria: Optional[tuple[str, ...]] = None
     eta: Optional[Fraction] = None
     grid: int = 400
@@ -84,7 +76,7 @@ def _fail(message: str) -> int:
     return EXIT_INAPPLICABLE
 
 
-def _resolve_factored(parsed: ParsedInput, pipeline: str) -> FactoredAbel:
+def _resolve_factored(parsed: ParsedInput) -> FactoredAbel:
     """Reduce any input schema to the factored form (raises UsageError when
     the route needs an a1 candidate that was not supplied)."""
     if isinstance(parsed.model, FactoredAbel):
@@ -92,10 +84,6 @@ def _resolve_factored(parsed: ParsedInput, pipeline: str) -> FactoredAbel:
     if isinstance(parsed.model, HomogeneousSystem):
         return cherkas_transform(parsed.model)
     if isinstance(parsed.model, PlanarPolySystem):
-        if pipeline not in ("auto", "rigid"):
-            raise UsageError(
-                f"pipeline {pipeline!r} cannot consume a planar xdot/ydot input"
-            )
         rigid = detect_rigid(parsed.model)
         eq = rigid_to_abel(rigid)
         if parsed.a1_candidate is None:
@@ -160,7 +148,7 @@ def _run_criteria(
         if requested is None or "obstructions" in wanted:
             obstructions = obstruction_report(parsed.model).to_json()
         return verdicts, obstructions, parsed.model.to_json()
-    f = _resolve_factored(parsed, cfg.pipeline)
+    f = _resolve_factored(parsed)
     wanted = requested or FACTORED_CRITERIA
     bad = [c for c in wanted if c not in FACTORED_CRITERIA]
     if bad:
@@ -227,7 +215,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         if isinstance(parsed.model, AbelEquation) and parsed.a1_candidate is None:
             data = parsed.model.to_json()
         else:
-            data = _resolve_factored(parsed, cfg.pipeline).to_json()
+            data = _resolve_factored(parsed).to_json()
     except InvarianceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"residual: {exc.residual.to_json()}", file=sys.stderr)
@@ -248,22 +236,19 @@ def cmd_oracle(cfg: RunConfig) -> int:
         return _fail("--input is required")
     try:
         parsed = load_input(cfg.input)
-        f = _resolve_factored(parsed, cfg.pipeline)
+        f = _resolve_factored(parsed)
+        icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
     except (SchemaError, UsageError, OSError, RigidStructureError,
             RiccatiRouteError, InvarianceError, ValueError) as exc:
         return _fail(str(exc))
-    icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
     report = count_cycles_in_V(f, icfg, grid_density=cfg.grid)
-    samples = []
-    for _, eq, lo, hi in fiber_components(f)[0]:
-        samples.extend(displacement_map(eq, graded_grid(lo, hi, cfg.grid), icfg))
     text = dumps(report.to_json())
     sys.stdout.write(text)
     if cfg.out:
         with open(cfg.out, "w") as handle:
             handle.write(text)
         csv_path = cfg.out + ".csv" if not cfg.out.endswith(".json") else cfg.out[:-5] + ".csv"
-        write_displacement_csv(samples, csv_path)
+        write_displacement_csv(report.samples, csv_path)
     return EXIT_HOLDS
 
 
@@ -283,6 +268,27 @@ def cmd_reproduce(example_id: str, out: Optional[str] = None) -> int:
     return EXIT_HOLDS if report.ok else EXIT_FAILS
 
 
+_OPTIONS = {
+    "--input": dict(help="path to a JSON system/equation"),
+    "--criteria": dict(help="comma-separated criterion ids"),
+    "--eta": dict(help="multiplier as an exact rational, e.g. -1 or 3/2"),
+    "--grid": dict(type=int, default=RunConfig.grid,
+                   help="grid points per component, at least 1"),
+    "--rtol": dict(type=float, default=RunConfig.rtol,
+                   help="relative tolerance, positive and finite"),
+    "--atol": dict(type=float, default=RunConfig.atol,
+                   help="absolute tolerance, positive and finite"),
+    "--out": dict(help="also write the JSON output here"),
+}
+
+# each subcommand takes only the options it reads
+_SUBCOMMAND_OPTIONS = {
+    "check": ("--input", "--criteria", "--eta", "--out"),
+    "transform": ("--input", "--out"),
+    "oracle": ("--input", "--grid", "--rtol", "--atol", "--out"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abel-cycles",
@@ -290,23 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "invariant curves, checked exactly and cross-checked numerically",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--input", help="path to a JSON system/equation")
-        p.add_argument(
-            "--pipeline",
-            choices=("auto", "abel", "rigid", "homogeneous"),
-            default="auto",
-        )
-        p.add_argument("--criteria", help="comma-separated criterion ids")
-        p.add_argument("--eta", help="multiplier as an exact rational, e.g. -1 or 3/2")
-        p.add_argument("--grid", type=int, default=400)
-        p.add_argument("--rtol", type=float, default=1.0e-10)
-        p.add_argument("--atol", type=float, default=1.0e-12)
-        p.add_argument("--out", help="also write the JSON output here")
-
-    for name in ("check", "transform", "oracle"):
-        common(sub.add_parser(name))
+    for name, options in _SUBCOMMAND_OPTIONS.items():
+        p = sub.add_parser(name)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     rep = sub.add_parser("reproduce")
     rep.add_argument("example", help="example1 or example2")
     rep.add_argument("--out", help="also write the JSON report here")
@@ -314,25 +307,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    criteria = None
-    if args.criteria:
-        criteria = tuple(c.strip() for c in args.criteria.split(",") if c.strip())
-    eta = None
-    if args.eta is not None:
+    """The subcommand's options; those it does not take keep the defaults."""
+    known = {f.name for f in fields(RunConfig)}
+    opts = {k: v for k, v in vars(args).items() if k in known}
+    if opts.get("criteria"):
+        opts["criteria"] = tuple(
+            c.strip() for c in opts["criteria"].split(",") if c.strip()
+        )
+    else:
+        opts.pop("criteria", None)
+    if opts.get("eta") is not None:
         try:
-            eta = Fraction(args.eta)
+            opts["eta"] = Fraction(opts["eta"])
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad --eta value {args.eta!r}: {exc}") from exc
-    return RunConfig(
-        input=args.input,
-        pipeline=args.pipeline,
-        criteria=criteria,
-        eta=eta,
-        grid=args.grid,
-        rtol=args.rtol,
-        atol=args.atol,
-        out=args.out,
-    )
+            raise UsageError(f"bad --eta value {opts['eta']!r}: {exc}") from exc
+    if opts.get("grid", 1) < 1:
+        raise UsageError(f"--grid must be at least 1, got {opts['grid']}")
+    return RunConfig(**opts)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -51,8 +49,11 @@ class IntegratorConfig:
     max_steps: int = 500_000
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError(
+                f"tolerances must be positive and finite, got rtol={self.rtol!r}, "
+                f"atol={self.atol!r}"
+            )
         if self.pole_guard <= 0:
             raise ValueError("the pole-guard margin must be positive")
 
@@ -110,6 +111,11 @@ class CycleReport:
     total_samples: int
     heuristic_cutoff: bool
     notes: str = ""
+    # the sweep behind the report, component by component in grid order;
+    # not part of the JSON
+    samples: tuple[DisplacementSample, ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     @property
     def count(self) -> int:
@@ -321,40 +327,17 @@ def integrate(
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ABEL_CYCLES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def displacement_map(
     eq: Equation,
     grid: Sequence[float],
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> list[DisplacementSample]:
     """One displacement sample per initial condition: d = u(T, x0) - x0 and
-    d' from the variational factor. Samples are independent; the sweep splits
-    across ABEL_CYCLES_THREADS chunks when that is set above 1."""
+    d' from the variational factor, both NaN for an escaped sample. The
+    whole grid is one batch, so a sweep is bitwise repeatable."""
     field = CubicField(eq, cfg.pole_guard)
-    period = field.period
     xs = np.asarray(list(grid), dtype=float)
-    threads = _thread_count()
-    if threads > 1 and xs.size >= 2 * threads:
-        chunks = np.array_split(np.arange(xs.size), threads)
-        results: list = [None] * threads
-
-        def run(i: int):
-            results[i] = _integrate_batch(field, 0.0, period, xs[chunks[i]], cfg)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(threads)))
-        xT = np.concatenate([r[0] for r in results])
-        zT = np.concatenate([r[1] for r in results])
-        esc = np.concatenate([r[2] for r in results])
-    else:
-        xT, zT, esc, _ = _integrate_batch(field, 0.0, period, xs, cfg)
+    xT, zT, esc, _ = _integrate_batch(field, 0.0, field.period, xs, cfg)
     out = []
     for x0, xf, zf, e in zip(xs, xT, zT, esc):
         out.append(
@@ -443,17 +426,16 @@ def count_cycles_in_V(
 ) -> CycleReport:
     """Scan every component of V's fiber at t=0, bracket the sign changes of
     the displacement map, refine each bracket by bisection, and classify the
-    stability of each cycle by the sign of d'."""
+    stability of each cycle by the sign of d'. The report keeps the sweep's
+    samples, so a caller that wants them need not sweep again."""
     comps, heuristic, note = fiber_components(f)
     cycles: list[Cycle] = []
     sign_changes = 0
-    escaped_total = 0
-    total = 0
+    swept: list[DisplacementSample] = []
     for label, eq, lo, hi in comps:
         period = eq.period.value_float
         samples = displacement_map(eq, graded_grid(lo, hi, grid_density), cfg)
-        total += len(samples)
-        escaped_total += sum(1 for s in samples if s.escaped)
+        swept.extend(samples)
         valid = [s for s in samples if not s.escaped and math.isfinite(s.d)]
         for s in valid:
             if s.d == 0.0:
@@ -476,10 +458,11 @@ def count_cycles_in_V(
         cycles=tuple(cycles),
         components=tuple(label for label, _, _, _ in comps),
         sign_changes=sign_changes,
-        escaped_samples=escaped_total,
-        total_samples=total,
+        escaped_samples=sum(1 for s in swept if s.escaped),
+        total_samples=len(swept),
         heuristic_cutoff=heuristic,
         notes=note,
+        samples=tuple(swept),
     )
 
 

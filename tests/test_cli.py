@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from abelcycles import oracle
 from abelcycles.abel import FactoredAbel
 from abelcycles.cli import main
 from abelcycles.criteria import Witness, witness_sign
@@ -14,6 +15,7 @@ from abelcycles.gallery import (
     example1_input,
     example2_input,
 )
+from abelcycles.oracle import displacement_map, fiber_components, graded_grid
 from abelcycles.serialize import SchemaError, detect_schema, dumps, parse_input
 from abelcycles.trig import TrigPoly, TrigRational
 
@@ -32,11 +34,14 @@ def gallery2(tmp_path):
     return str(path)
 
 
-def constants_factored_json() -> dict:
-    f = FactoredAbel.from_parts(
-        TrigPoly.constant(1), TrigRational.constant(2), TrigRational.constant(1)
+def constants(a1c, a2c, b2c) -> FactoredAbel:
+    return FactoredAbel.from_parts(
+        TrigPoly.constant(a1c), TrigRational.constant(a2c), TrigRational.constant(b2c)
     )
-    return f.to_json()
+
+
+def constants_factored_json() -> dict:
+    return constants(1, 2, 1).to_json()
 
 
 class TestSchemas:
@@ -242,21 +247,43 @@ class TestTransform:
 
 
 class TestOracle:
-    def test_writes_json_and_csv(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "f, x_star",
+        [(constants(1, 2, 1), 0.5), (constants(-1, 1, 1), -1.0)],
+        ids=["one-component", "two-component"],
+    )
+    def test_writes_json_and_csv(self, f, x_star, tmp_path, capsys, monkeypatch):
         path = tmp_path / "constants.json"
-        path.write_text(dumps(constants_factored_json()))
+        path.write_text(dumps(f.to_json()))
         out = tmp_path / "report.json"
+        sweeps = []
+
+        def counting_sweep(*args, **kwargs):
+            sweeps.append(args)
+            return displacement_map(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "displacement_map", counting_sweep)
         code = main(
             ["oracle", "--input", str(path), "--grid", "60", "--out", str(out)]
         )
+        monkeypatch.undo()
         assert code == 0
         report = json.loads(out.read_text())
+        assert out.read_text() == capsys.readouterr().out
         assert report["count"] == 1
-        assert abs(report["cycles"][0]["x_star"] - 0.5) < 1e-8
+        assert abs(report["cycles"][0]["x_star"] - x_star) < 1e-8
+        # one sweep per component: the CSV reuses the count's samples
+        assert len(sweeps) == len(report["components"])
         with open(tmp_path / "report.csv") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x0", "d", "dprime", "escaped"]
-        assert len(rows) == 61
+        expected = [
+            [repr(s.x0), repr(s.d), repr(s.dprime), str(int(s.escaped))]
+            for _, eq, lo, hi in fiber_components(f)[0]
+            for s in displacement_map(eq, graded_grid(lo, hi, 60))
+        ]
+        assert len(expected) == 60 * len(report["components"])
+        assert rows[1:] == expected
 
     def test_grid_density_does_not_change_the_count(self, tmp_path, capsys):
         path = tmp_path / "constants.json"
@@ -266,6 +293,36 @@ class TestOracle:
             main(["oracle", "--input", str(path), "--grid", grid])
             counts.append(json.loads(capsys.readouterr().out)["count"])
         assert counts[0] == counts[1] == 1
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--grid", "0"), ("--grid", "-3"), ("--rtol", "0"), ("--atol", "-1"),
+         ("--rtol", "nan")],
+    )
+    def test_bad_numbers_exit_two(self, option, value, tmp_path, capsys):
+        path = tmp_path / "constants.json"
+        path.write_text(dumps(constants_factored_json()))
+        assert main(["oracle", "--input", str(path), option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--grid", "5"],
+        ["check", "--pipeline", "abel"],
+        ["transform", "--eta", "1"],
+        ["oracle", "--criteria", "no_cycle"],
+    ],
+    ids=["check-grid", "check-pipeline", "transform-eta", "oracle-criteria"],
+)
+def test_subcommands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", "unused.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReproduce:

@@ -2,7 +2,6 @@
 
 import csv
 import math
-import os
 
 import pytest
 
@@ -72,9 +71,12 @@ class TestIntegrator:
         assert r.escaped
         assert r.reason
 
-    def test_rejects_nonpositive_tolerances(self):
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_tolerances(self, tol):
         with pytest.raises(ValueError):
-            IntegratorConfig(rtol=0.0)
+            IntegratorConfig(rtol=tol)
+        with pytest.raises(ValueError):
+            IntegratorConfig(atol=tol)
 
 
 class TestDisplacementMap:
@@ -98,19 +100,6 @@ class TestDisplacementMap:
             assert not (m.escaped or p.escaped or q.escaped)
             fd = (p.d + p.x0 - q.d - q.x0) / (2 * step) - 1.0
             assert abs(m.dprime - fd) < 1e-4 * max(1.0, abs(m.dprime))
-
-    def test_threaded_sweep_agrees(self):
-        f = constants(1, -1, 1)
-        grid = graded_grid(0.0, 2.0, 37)
-        base = displacement_map(f, grid, CFG)
-        os.environ["ABEL_CYCLES_THREADS"] = "4"
-        try:
-            threaded = displacement_map(f, grid, CFG)
-        finally:
-            del os.environ["ABEL_CYCLES_THREADS"]
-        for a, b in zip(base, threaded):
-            assert a.escaped == b.escaped
-            assert abs(a.d - b.d) < 1e-8
 
     def test_csv_format(self, tmp_path):
         samples = displacement_map(constants(1, -1, 1), [0.25, 0.5], CFG)
