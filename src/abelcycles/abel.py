@@ -7,17 +7,15 @@ invariant factors the field as
 
 with C3 = a1 a2, C2 = -(a1 b2 + a2), C1 = b2 - a1'/a1. This module holds the
 two equation models, the factorization with its exact invariance residual,
-cofactors of the two curves, the stability quadratic in x whose circle-wide
-sign bounds the cycle count, region classification by the sign of a1, and the
-scaled normal form x' = (a1x - b1)(a2x - b2)x + (b1' - a1'x)x/b1.
+region classification by the sign of a1, the bounded chart of the
+two-component region, and the scaled normal form
+x' = (a1x - b1)(a2x - b2)x + (b1' - a1'x)x/b1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Optional, Union
 
 from .poly import SignOnSet, as_fraction
 from .trig import (
@@ -34,70 +32,6 @@ def _as_trig_rational(f) -> TrigRational:
     if isinstance(f, TrigPoly):
         return TrigRational.from_poly(f)
     return TrigRational.constant(as_fraction(f))
-
-
-@dataclass(frozen=True)
-class XPoly:
-    """Polynomial in x with trig-rational coefficients, low to high degree."""
-
-    coeffs: tuple[TrigRational, ...]
-
-    @staticmethod
-    def from_coeffs(raw: Iterable) -> "XPoly":
-        cs = [_as_trig_rational(c) for c in raw]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        return XPoly(tuple(cs))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> TrigRational:
-        return self.coeffs[k] if k < len(self.coeffs) else TrigRational.zero()
-
-    def __add__(self, other: "XPoly") -> "XPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly.from_coeffs(
-            self.coeff(k) + other.coeff(k) for k in range(n)
-        )
-
-    def __neg__(self) -> "XPoly":
-        return XPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "XPoly") -> "XPoly":
-        out = [TrigRational.zero()] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return XPoly.from_coeffs(out)
-
-    def partial_x(self) -> "XPoly":
-        return XPoly.from_coeffs(
-            c.scale(k) for k, c in enumerate(self.coeffs) if k > 0
-        )
-
-    def partial_t(self) -> "XPoly":
-        return XPoly.from_coeffs(c.derivative() for c in self.coeffs)
-
-    def eval_at(self, c: Fraction, s: Fraction, x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for k, coeff in enumerate(self.coeffs):
-            total += coeff.eval_at(c, s) * x**k
-        return total
-
-    def evaluate_float(self, theta: float, x: float, guard: float = 0.0) -> float:
-        total = 0.0
-        for k, coeff in enumerate(self.coeffs):
-            total += coeff.evaluate_float(theta, guard=guard) * x**k
-        return total
 
 
 def _joint_period(*fs: TrigRational) -> Period:
@@ -124,9 +58,6 @@ class AbelEquation:
     @property
     def period(self) -> Period:
         return _joint_period(self.c1, self.c2, self.c3)
-
-    def rhs(self) -> XPoly:
-        return XPoly.from_coeffs([TrigRational.zero(), self.c1, self.c2, self.c3])
 
     def to_json(self) -> dict:
         return {
@@ -197,20 +128,6 @@ class FactoredAbel:
             return Period.TWO_PI
         return _joint_period(self.a2, self.b2)
 
-    def rhs(self) -> XPoly:
-        return self.to_abel().rhs()
-
-    def cofactors(self) -> tuple[XPoly, XPoly]:
-        """(cofactor of x = 0, cofactor of a1 x - 1 = 0)."""
-        a1r = _as_trig_rational(self.a1)
-        p1 = XPoly.from_coeffs(
-            [self.b2 - self.log_deriv_a1(), -(a1r * self.b2 + self.a2), a1r * self.a2]
-        )
-        p2 = XPoly.from_coeffs(
-            [TrigRational.zero(), -(a1r * self.b2), a1r * self.a2]
-        )
-        return p1, p2
-
     def to_json(self) -> dict:
         return {
             "a1": self.a1.to_json(),
@@ -242,58 +159,6 @@ def factor_through_invariant(eq: AbelEquation, a1: TrigPoly) -> FactoredAbel:
     if not residual.is_zero:
         raise InvarianceError(residual)
     return FactoredAbel(a1, a2.reduced(), b2.reduced())
-
-
-@dataclass(frozen=True)
-class CombinationParams:
-    """Multipliers (alpha, beta, eta) for the cofactor combination
-    p_x + alpha p1 + beta p2 + (1 + alpha + eta) a1'/a1."""
-
-    alpha: Fraction
-    beta: Fraction
-    eta: Fraction
-
-    @staticmethod
-    def of(alpha, beta, eta) -> "CombinationParams":
-        return CombinationParams(
-            as_fraction(alpha), as_fraction(beta), as_fraction(eta)
-        )
-
-
-def stability_quadratic(f: FactoredAbel, params: CombinationParams) -> XPoly:
-    """The quadratic in x whose definite sign on the region bounds the cycle
-    count at one per connected component:
-
-        (3+A+B) a1 a2 x^2 - ((2+A) a2 + (2+A+B) a1 b2) x
-        + (1+A) b2 + E a1'/a1
-
-    for (A, B, E) = params. Equals p_x + A p1 + B p2 + (1+A+E) a1'/a1.
-    """
-    al, be, eta = params.alpha, params.beta, params.eta
-    a1r = _as_trig_rational(f.a1)
-    lead = (a1r * f.a2).scale(3 + al + be)
-    mid = -(f.a2.scale(2 + al) + (a1r * f.b2).scale(2 + al + be))
-    low = f.b2.scale(1 + al) + f.log_deriv_a1().scale(eta)
-    return XPoly.from_coeffs([low, mid, lead])
-
-
-def stability_sturm_tail(f: FactoredAbel, params: CombinationParams) -> TrigRational:
-    """Closed form of the constant tail of the Sturm chain of the stability
-    quadratic in x (convention: tail = B^2/(4A) - C for A x^2 + B x + C).
-    Valid wherever a1, a2 are nonzero; needs alpha + beta + 3 != 0."""
-    al, be, eta = params.alpha, params.beta, params.eta
-    if al + be + 3 == 0:
-        raise ValueError("degenerate leading coefficient: alpha + beta + 3 = 0")
-    if f.a2.is_zero:
-        raise ValueError("a2 identically zero has no quadratic tail")
-    a1r = _as_trig_rational(f.a1)
-    term1 = (f.a2 / a1r).scale((2 + al) ** 2 / (4 * (3 + al + be)))
-    term2 = (a1r * f.b2 * f.b2 / f.a2).scale(
-        (2 + al + be) ** 2 / (4 * (3 + al + be))
-    )
-    term3 = f.b2.scale(-(2 + al**2 + al * (4 + be)) / (2 * (3 + al + be)))
-    term4 = f.log_deriv_a1().scale(-eta)
-    return term1 + term2 + term3 + term4
 
 
 class RegionKind(Enum):
@@ -366,21 +231,6 @@ def normalize(f: FactoredAbel, b1n: TrigPoly) -> NormalizedAbel:
     log_a1n = TrigRational(a1n.derivative(), a1n)
     b2n = ((f.b2 - log_a1n) / b1r).reduced()
     return NormalizedAbel(a1n, b1n, a2n, b2n)
-
-
-def denormalize(n: NormalizedAbel) -> AbelEquation:
-    """Invert the normalization map back to raw coefficients:
-    a1 = a1n/b1n, a2 = a2n b1n, b2 = b2n b1n + a1n'/a1n."""
-    b1r = _as_trig_rational(n.b1n)
-    a1 = _as_trig_rational(n.a1n) / b1r
-    a2 = n.a2n * b1r
-    log_a1n = TrigRational(n.a1n.derivative(), n.a1n)
-    b2 = n.b2n * b1r + log_a1n
-    log_a1 = log_a1n - TrigRational(n.b1n.derivative(), n.b1n)
-    c3 = a1 * a2
-    c2 = -(a1 * b2 + a2)
-    c1 = b2 - log_a1
-    return AbelEquation(c1.reduced(), c2.reduced(), c3.reduced())
 
 
 def negative_component_transform(f: FactoredAbel) -> FactoredAbel:

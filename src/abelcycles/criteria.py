@@ -500,8 +500,7 @@ def definite_combination_feasible(
     on the whole circle. Both functions must be pole-free; the decision runs
     on common-denominator half-angle numerators plus the point theta = pi.
     parameter_planes are extra constraints va + mu*vb >= 0 on mu alone."""
-    rl = _as_rational(base).reduced()
-    rm = _as_rational(multiplier).reduced()
+    rl, rm = _as_rational(base), _as_rational(multiplier)
     if not rl.pole_free() or not rm.pole_free():
         raise ValueError("the combination test needs pole-free inputs")
     pl, ql = rl.half_angle_pair()
@@ -516,8 +515,8 @@ def definite_combination_feasible(
     at_pi = (Fraction(-1), Fraction(0))
     planes = [
         (
-            sign * rl.eval_at(*at_pi),
-            sign * rm.eval_at(*at_pi),
+            sign * rl.reduced().eval_at(*at_pi),
+            sign * rm.reduced().eval_at(*at_pi),
             Witness("the combination at theta = pi", "point", circle=at_pi),
         )
     ]
@@ -576,7 +575,7 @@ def _condition_two(f: FactoredAbel, eta: Fraction) -> TrigRational:
     """a1*b2 - a2 + eta*a1', the quantity conditioned where a1 > 0."""
     a1r = TrigRational.from_poly(f.a1)
     tail = TrigRational.from_poly(f.a1.derivative()).scale(eta)
-    return (a1r * f.b2 - f.a2 + tail).reduced()
+    return a1r * f.b2 - f.a2 + tail
 
 
 def _factored_criterion(f: FactoredAbel, eta: Fraction, cid: str) -> CriterionVerdict:
@@ -836,9 +835,7 @@ def check_normalized(
             n.a1n.derivative(), n.b1n
         )
         mult = n.a2n * TrigRational.from_poly(n.b1n)
-        out, br = _exists_definite_combination(
-            base.reduced(), mult.reduced(), list(eta_grid)
-        )
+        out, br = _exists_definite_combination(base, mult, list(eta_grid))
         if out.status == "Feasible":
             held.append(
                 "(i) a1 never vanishes and the eta-combination keeps one sign"
@@ -1198,8 +1195,8 @@ def _pole_matching_eta(b2: TrigRational, log_deriv: TrigRational) -> Optional[Fr
     """The unique eta with numerator(b2) + eta*numerator(log-derivative)
     divisible by the odd-multiplicity part of the common chart denominator,
     when such an eta exists."""
-    nb, db = b2.reduced().half_angle_pair()
-    na, da = log_deriv.reduced().half_angle_pair()
+    nb, db = b2.half_angle_pair()
+    na, da = log_deriv.half_angle_pair()
     g = db.gcd(da)
     da_red = da.exact_div(g) if g.degree > 0 else da
     db_red = db.exact_div(g) if g.degree > 0 else db

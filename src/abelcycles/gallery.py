@@ -207,7 +207,7 @@ def _reproduce_example1() -> ReproduceReport:
         TrigRational.from_poly(f.a1) * f.b2
         - f.a2
         + TrigRational.from_poly(f.a1.derivative()).scale(EXAMPLE1_ETA)
-    ).reduced()
+    )
     chart_cond2 = cond2.sign_proxy().tan_chart()[0]
     lines.append(
         _line(

@@ -436,14 +436,15 @@ def count_cycles_in_V(
         period = eq.period.value_float
         samples = displacement_map(eq, graded_grid(lo, hi, grid_density), cfg)
         swept.extend(samples)
-        valid = [s for s in samples if not s.escaped and math.isfinite(s.d)]
-        for s in valid:
+        for s in samples:
             if s.d == 0.0:
                 cycles.append(
                     Cycle(label, (s.x0, s.x0), s.x0, s.dprime, _classify(s.dprime))
                 )
-        for left, right in zip(valid, valid[1:]):
-            if left.d == 0.0 or right.d == 0.0:
+        # only grid neighbours bracket: d is not known to be defined on a
+        # stretch with an escaped sample inside it
+        for left, right in zip(samples, samples[1:]):
+            if any(s.escaped or not math.isfinite(s.d) or s.d == 0.0 for s in (left, right)):
                 continue
             if (left.d > 0) != (right.d > 0):
                 sign_changes += 1

@@ -18,10 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .abel import AbelEquation, FactoredAbel
-from .poly import as_fraction
+from .poly import MAX_DEGREE, as_fraction
 from .trig import TrigPoly, TrigRational
-
-MAX_DEGREE = 16
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,9 @@ NEG_INF = _Infinity(-1)
 
 ExtendedPoint = Union[Fraction, _Infinity]
 
+# largest total degree of a term in a parsed input, bivariate or trig
+MAX_DEGREE = 16
+
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction."""
@@ -340,28 +343,10 @@ def sign_at(p: RationalPoly, point: ExtendedPoint) -> int:
     return _sign(p.evaluate(point))
 
 
-def sturm_sequence(p: RationalPoly) -> list[RationalPoly]:
-    """Canonical Sturm chain: s0=p, s1=p', s_{i+1} = -rem(s_{i-1}, s_i).
-
-    Returned without any rescaling so that algebraic identities on the tail
-    hold on the nose (the last element of a quadratic chain is B^2/(4A) - C).
-    """
-    if p.is_zero:
-        return [p]
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero:
-            break
-        chain.append(-r)
-    if chain[-1].is_zero:
-        chain.pop()
-    return chain
-
-
 def _scaled_sturm_chain(p: RationalPoly) -> list[RationalPoly]:
-    """Sturm chain with each remainder rescaled to a positive integer-primitive
-    multiple; sign patterns, and hence variation counts, are unchanged."""
+    """Sturm chain (s0 = p, s1 = p', s_{i+1} = -rem(s_{i-1}, s_i)) with each
+    member rescaled to a positive integer-primitive multiple; sign patterns,
+    and hence variation counts, are unchanged."""
     if p.is_zero:
         return [p]
     chain = [p.primitive(), p.derivative().primitive()]

@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .poly import (
+    MAX_DEGREE,
     CellDecomposition,
     RationalPoly,
     SignOnSet,
@@ -244,7 +245,13 @@ class TrigPoly:
 
     @staticmethod
     def from_json(data: Sequence[dict]) -> "TrigPoly":
-        return TrigPoly.from_terms((d["i"], d["j"], d["c"]) for d in data)
+        """Parse input terms; a term above MAX_DEGREE is rejected here, while
+        products built later stay uncapped."""
+        terms = [(d["i"], d["j"], d["c"]) for d in data]
+        for i, j, _ in terms:
+            if i + j > MAX_DEGREE:
+                raise ValueError(f"trig degree {i + j} exceeds cap {MAX_DEGREE}")
+        return TrigPoly.from_terms(terms)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -343,8 +350,13 @@ class TrigRational:
     def half_angle_pair(self) -> tuple[RationalPoly, RationalPoly]:
         """Coprime (P, Q) with self = P(u)/Q(u) for u = tan(t/2), t != pi.
 
-        Q is integer-primitive with positive leading coefficient.
+        Q is integer-primitive with positive leading coefficient, so the pair
+        depends only on the function: self and self.reduced() share it.
         """
+        return self._pair
+
+    @cached_property
+    def _pair(self) -> tuple[RationalPoly, RationalPoly]:
         nn, kn = self.num.half_angle_chart()
         nd, kd = self.den.half_angle_chart()
         one_plus = RationalPoly.from_coeffs([1, 0, 1])
@@ -367,20 +379,29 @@ class TrigRational:
 
         The chart turns the quotient into a rational function of u where
         gcd cancellation is available; the reduced pair is mapped back with a
-        shared (1+u^2) normalization so the ratio is unchanged.
+        shared (1+u^2) normalization so the ratio is unchanged. The result is
+        computed once and kept; it is its own reduced form.
         """
+        return self._reduced
+
+    @cached_property
+    def _reduced(self) -> "TrigRational":
         if self.num.is_zero:
-            return TrigRational.zero()
-        p, q = self.half_angle_pair()
-        k = max((p.degree + 1) // 2, (q.degree + 1) // 2)
-        return TrigRational(
-            TrigPoly.from_half_angle(p, k), TrigPoly.from_half_angle(q, k)
-        )
+            r = TrigRational.zero()
+        else:
+            p, q = self._pair
+            k = max((p.degree + 1) // 2, (q.degree + 1) // 2)
+            r = TrigRational(
+                TrigPoly.from_half_angle(p, k), TrigPoly.from_half_angle(q, k)
+            )
+            r.__dict__["_pair"] = (p, q)
+        r.__dict__["_reduced"] = r
+        return r
 
     def sign_proxy(self) -> TrigPoly:
         """num*den of the reduced form: same sign as self wherever defined,
         zero exactly at zeros and poles of self."""
-        r = self.reduced()
+        r = self._reduced
         return r.num * r.den
 
     def period(self) -> Period:
@@ -393,18 +414,16 @@ class TrigRational:
 
     @cached_property
     def chart(self) -> "FunctionChart":
-        r = self.reduced()
-        return FunctionChart(r.num, r.den)
+        r = self._reduced
+        return FunctionChart(r.num, r.den) if r is self else r.chart
 
     def pole_free(self) -> bool:
-        """True when the reduced denominator never vanishes on the circle."""
-        r = self.reduced()
-        nd, _ = r.den.half_angle_chart()
-        from .poly import count_distinct_roots
-
-        if nd.degree > 0 and count_distinct_roots(nd) > 0:
+        """True when the reduced denominator never vanishes on the circle:
+        Q has no real root, and the reduced form is finite at t = pi."""
+        q = _pole_part(self)
+        if q.degree > 0 and count_distinct_roots(q) > 0:
             return False
-        return r.den.eval_at(Fraction(-1), Fraction(0)) != 0
+        return self._reduced.den.eval_at(Fraction(-1), Fraction(0)) != 0
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -422,6 +441,19 @@ class TrigRational:
 
 
 TrigLike = Union[TrigPoly, TrigRational]
+
+
+def _pole_part(f: TrigRational) -> RationalPoly:
+    """Q of the half-angle pair without its factors 1 + u^2, which have no
+    real root; the real roots left are the poles of f off t = pi."""
+    _, q = f.half_angle_pair()
+    one_plus = RationalPoly.from_coeffs([1, 0, 1])
+    while q.degree > 1:
+        quo, rem = q.divmod(one_plus)
+        if not rem.is_zero:
+            break
+        q = quo
+    return q
 
 
 def _sgn(x) -> int:
@@ -631,16 +663,13 @@ def has_odd_order_pole(f: TrigRational) -> bool:
     """True when the reduced form has a pole of odd order somewhere on the
     circle; such a pole forces a sign change, so no definite-sign analysis
     can absorb it."""
-    r = f.reduced()
-    nd, _ = r.den.half_angle_chart()
-    if nd.degree > 0:
-        nn, _ = r.num.half_angle_chart()
-        g = nd.gcd(nn)
-        core = nd.exact_div(g) if g.degree > 0 else nd
-        for factor, mult in core.squarefree_decomposition():
+    q = _pole_part(f)
+    if q.degree > 0:
+        for factor, mult in q.squarefree_decomposition():
             if mult % 2 == 1 and factor.degree > 0 and count_distinct_roots(factor) > 0:
                 return True
     # the half-angle chart misses theta = pi
+    r = f.reduced()
     if r.den.eval_at(Fraction(-1), Fraction(0)) == 0:
         vd = vanishing_order_at_pi(r.den)
         vn = vanishing_order_at_pi(r.num) if not r.num.is_zero else vd

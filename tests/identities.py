@@ -1,0 +1,170 @@
+"""Algebra that only the identity tests use, kept out of the library.
+
+The exact engine decides its criteria on trig rationals and Sturm chains with
+rescaled members. The tests check, on the nose, the identities behind those
+criteria: the cubic right-hand side as a polynomial in x, the cofactors of
+the invariant curves x = 0 and a1 x = 1, the stability quadratic with the
+constant tail of its Sturm chain, the inverse of the normalization map, and
+the unscaled Sturm chain whose tail these closed forms are compared with.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Union
+
+from abelcycles.abel import AbelEquation, FactoredAbel, NormalizedAbel
+from abelcycles.poly import RationalPoly, as_fraction
+from abelcycles.trig import TrigPoly, TrigRational
+
+
+def as_trig_rational(f) -> TrigRational:
+    if isinstance(f, TrigRational):
+        return f
+    if isinstance(f, TrigPoly):
+        return TrigRational.from_poly(f)
+    return TrigRational.constant(as_fraction(f))
+
+
+@dataclass(frozen=True)
+class XPoly:
+    """Polynomial in x with trig-rational coefficients, low to high degree."""
+
+    coeffs: tuple[TrigRational, ...]
+
+    @staticmethod
+    def from_coeffs(raw: Iterable) -> "XPoly":
+        cs = [as_trig_rational(c) for c in raw]
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        return XPoly(tuple(cs))
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c.is_zero for c in self.coeffs)
+
+    def coeff(self, k: int) -> TrigRational:
+        return self.coeffs[k] if k < len(self.coeffs) else TrigRational.zero()
+
+    def __add__(self, other: "XPoly") -> "XPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return XPoly.from_coeffs(self.coeff(k) + other.coeff(k) for k in range(n))
+
+    def __neg__(self) -> "XPoly":
+        return XPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: "XPoly") -> "XPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "XPoly") -> "XPoly":
+        out = [TrigRational.zero()] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return XPoly.from_coeffs(out)
+
+    def partial_x(self) -> "XPoly":
+        return XPoly.from_coeffs(c.scale(k) for k, c in enumerate(self.coeffs) if k > 0)
+
+    def partial_t(self) -> "XPoly":
+        return XPoly.from_coeffs(c.derivative() for c in self.coeffs)
+
+
+def rhs(eq: Union[AbelEquation, FactoredAbel]) -> XPoly:
+    """The right-hand side x (C1 + C2 x + C3 x^2) as a polynomial in x."""
+    if isinstance(eq, FactoredAbel):
+        eq = eq.to_abel()
+    return XPoly.from_coeffs([TrigRational.zero(), eq.c1, eq.c2, eq.c3])
+
+
+def cofactors(f: FactoredAbel) -> tuple[XPoly, XPoly]:
+    """(cofactor of x = 0, cofactor of a1 x - 1 = 0)."""
+    a1r = as_trig_rational(f.a1)
+    p1 = XPoly.from_coeffs(
+        [f.b2 - f.log_deriv_a1(), -(a1r * f.b2 + f.a2), a1r * f.a2]
+    )
+    p2 = XPoly.from_coeffs([TrigRational.zero(), -(a1r * f.b2), a1r * f.a2])
+    return p1, p2
+
+
+@dataclass(frozen=True)
+class CombinationParams:
+    """Multipliers (alpha, beta, eta) for the cofactor combination
+    p_x + alpha p1 + beta p2 + (1 + alpha + eta) a1'/a1."""
+
+    alpha: Fraction
+    beta: Fraction
+    eta: Fraction
+
+    @staticmethod
+    def of(alpha, beta, eta) -> "CombinationParams":
+        return CombinationParams(as_fraction(alpha), as_fraction(beta), as_fraction(eta))
+
+
+def stability_quadratic(f: FactoredAbel, params: CombinationParams) -> XPoly:
+    """The quadratic in x whose definite sign on the region bounds the cycle
+    count at one per connected component:
+
+        (3+A+B) a1 a2 x^2 - ((2+A) a2 + (2+A+B) a1 b2) x
+        + (1+A) b2 + E a1'/a1
+
+    for (A, B, E) = params. Equals p_x + A p1 + B p2 + (1+A+E) a1'/a1.
+    """
+    al, be, eta = params.alpha, params.beta, params.eta
+    a1r = as_trig_rational(f.a1)
+    lead = (a1r * f.a2).scale(3 + al + be)
+    mid = -(f.a2.scale(2 + al) + (a1r * f.b2).scale(2 + al + be))
+    low = f.b2.scale(1 + al) + f.log_deriv_a1().scale(eta)
+    return XPoly.from_coeffs([low, mid, lead])
+
+
+def stability_sturm_tail(f: FactoredAbel, params: CombinationParams) -> TrigRational:
+    """Closed form of the constant tail of the Sturm chain of the stability
+    quadratic in x (convention: tail = B^2/(4A) - C for A x^2 + B x + C).
+    Valid wherever a1, a2 are nonzero; needs alpha + beta + 3 != 0."""
+    al, be, eta = params.alpha, params.beta, params.eta
+    if al + be + 3 == 0:
+        raise ValueError("degenerate leading coefficient: alpha + beta + 3 = 0")
+    if f.a2.is_zero:
+        raise ValueError("a2 identically zero has no quadratic tail")
+    a1r = as_trig_rational(f.a1)
+    term1 = (f.a2 / a1r).scale((2 + al) ** 2 / (4 * (3 + al + be)))
+    term2 = (a1r * f.b2 * f.b2 / f.a2).scale((2 + al + be) ** 2 / (4 * (3 + al + be)))
+    term3 = f.b2.scale(-(2 + al**2 + al * (4 + be)) / (2 * (3 + al + be)))
+    term4 = f.log_deriv_a1().scale(-eta)
+    return term1 + term2 + term3 + term4
+
+
+def denormalize(n: NormalizedAbel) -> AbelEquation:
+    """Invert the normalization map back to raw coefficients:
+    a1 = a1n/b1n, a2 = a2n b1n, b2 = b2n b1n + a1n'/a1n."""
+    b1r = as_trig_rational(n.b1n)
+    a1 = as_trig_rational(n.a1n) / b1r
+    a2 = n.a2n * b1r
+    log_a1n = TrigRational(n.a1n.derivative(), n.a1n)
+    b2 = n.b2n * b1r + log_a1n
+    log_a1 = log_a1n - TrigRational(n.b1n.derivative(), n.b1n)
+    c3 = a1 * a2
+    c2 = -(a1 * b2 + a2)
+    c1 = b2 - log_a1
+    return AbelEquation(c1.reduced(), c2.reduced(), c3.reduced())
+
+
+def sturm_sequence(p: RationalPoly) -> list[RationalPoly]:
+    """Canonical Sturm chain: s0=p, s1=p', s_{i+1} = -rem(s_{i-1}, s_i).
+
+    Returned without any rescaling so that algebraic identities on the tail
+    hold on the nose (the last element of a quadratic chain is B^2/(4A) - C).
+    """
+    if p.is_zero:
+        return [p]
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        _, r = chain[-2].divmod(chain[-1])
+        if r.is_zero:
+            break
+        chain.append(-r)
+    if chain[-1].is_zero:
+        chain.pop()
+    return chain

@@ -1,6 +1,7 @@
 """Tests for the Abel equation models: factorization through the invariant
-curve, cofactors, the stability quadratic and its Sturm tail, regions, and
-the scaled normal form."""
+curve, regions, and the scaled normal form, plus the identities on the
+cofactors, the stability quadratic and its Sturm tail (built in
+identities.py)."""
 
 import random
 from fractions import Fraction
@@ -9,24 +10,29 @@ import pytest
 
 from abelcycles.abel import (
     AbelEquation,
-    CombinationParams,
     FactoredAbel,
     InvarianceError,
     NormalizedAbel,
     RegionKind,
-    XPoly,
     classify_region,
-    denormalize,
     factor_through_invariant,
     negative_component_transform,
     normalize,
     riccati_bound_applies,
-    stability_quadratic,
-    stability_sturm_tail,
 )
-from abelcycles.poly import RationalPoly, sturm_sequence
+from abelcycles.poly import RationalPoly
 from abelcycles.trig import Period, TrigPoly, TrigRational, circle_point
 from data import EX1_A1, EX1_A2, EX1_B2, EX1_C1, EX1_C2, EX1_C3, EX1_COMBINATION
+from identities import (
+    CombinationParams,
+    XPoly,
+    cofactors,
+    denormalize,
+    rhs,
+    stability_quadratic,
+    stability_sturm_tail,
+    sturm_sequence,
+)
 
 F = Fraction
 
@@ -85,7 +91,7 @@ class TestFactorThroughInvariant:
 
 class TestCofactors:
     def test_constant_case(self):
-        p1, p2 = constant_factored(1, -1, 1).cofactors()
+        p1, p2 = cofactors(constant_factored(1, -1, 1))
         # p1 = (x-1)(-x-1) = 1 - x^2, p2 = x(-x-1)
         for got, want in zip(p1.coeffs, (1, 0, -1)):
             assert got.equals(TrigRational.constant(want))
@@ -93,7 +99,7 @@ class TestCofactors:
             assert got.equals(TrigRational.constant(want))
 
     def test_cofactor_of_origin_vanishes_at_origin(self):
-        _, p2 = EX1_FACTORED.cofactors()
+        _, p2 = cofactors(EX1_FACTORED)
         assert p2.coeff(0).is_zero
 
     @pytest.mark.parametrize("seed", [3, 17])
@@ -102,8 +108,8 @@ class TestCofactors:
         instances = [EX1_FACTORED] if seed == 3 else []
         instances += [rand_factored(rng) for _ in range(4)]
         for f in instances:
-            p = f.rhs()
-            p1, p2 = f.cofactors()
+            p = rhs(f)
+            p1, p2 = cofactors(f)
             # q = x with cofactor p1
             q = XPoly.from_coeffs([0, 1])
             assert (q.partial_t() + q.partial_x() * p - q * p1).is_zero
@@ -124,8 +130,8 @@ class TestStabilityQuadratic:
             )
             params = CombinationParams.of(al, be, eta)
             g = stability_quadratic(f, params)
-            px = f.rhs().partial_x()
-            p1, p2 = f.cofactors()
+            px = rhs(f).partial_x()
+            p1, p2 = cofactors(f)
             logd = XPoly.from_coeffs([f.log_deriv_a1().scale(1 + al + eta)])
             combo = px + XPoly.from_coeffs(
                 [c.scale(al) for c in p1.coeffs]
@@ -303,7 +309,7 @@ class TestNegativeComponentTransform:
             want = XPoly.from_coeffs(
                 [TrigRational.zero(), f.b2, -(f.b2 + f.a2 / a1r), f.a2 / a1r]
             )
-            assert (g.rhs() - want).is_zero
+            assert (rhs(g) - want).is_zero
 
     def test_requires_strictly_negative_a1(self):
         with pytest.raises(ValueError):

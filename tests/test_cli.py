@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,34 @@ THETA_PI_INPUTS = {
         "Q": [_term(1, 1, "-1"), _term(2, 0, "2")],
     },
 }
+
+
+class TestTrigDegreeCap:
+    @staticmethod
+    def _check(tmp_path, a2_terms):
+        one = [_term(0, 0, "1")]
+        path = tmp_path / "input.json"
+        path.write_text(dumps({"a1": one, "a2": a2_terms, "b2": one}))
+        t0 = time.perf_counter()
+        code = main(["check", "--input", str(path)])
+        return code, time.perf_counter() - t0
+
+    def test_term_above_the_cap_exits_two_at_once(self, tmp_path, capsys):
+        code, seconds = self._check(tmp_path, [_term(0, 200, "2"), _term(1, 0, "-1")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert seconds < 1.0
+        assert out == ""
+        assert err.startswith("error:") and "exceeds cap 16" in err
+
+    def test_term_at_the_cap_gets_a_verdict(self, tmp_path, capsys):
+        code, _ = self._check(tmp_path, [_term(16, 0, "1")])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert err == ""
+        assert {v["criterion"] for v in json.loads(out)["verdicts"]} == {
+            "no_cycle", "at_most_one", "definite_a2", "normalized_bound"
+        }
 
 
 def _witness_from_json(data: dict) -> Witness:

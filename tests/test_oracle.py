@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from abelcycles import oracle
 from abelcycles.abel import AbelEquation, FactoredAbel
 from abelcycles.oracle import (
+    DisplacementSample,
     IntegratorConfig,
     count_cycles_in_V,
     displacement_map,
@@ -160,6 +162,27 @@ class TestCycleCounting:
         assert rep.total_samples >= 60
         assert rep.sign_changes == rep.sign_changes  # report is well formed
         assert isinstance(rep.to_json()["cycles"], list)
+
+    def test_no_bracket_across_an_escaped_sample(self, monkeypatch):
+        # d > 0, escaped, d < 0: the sign change is not between grid
+        # neighbours, so it brackets nothing and nothing is refined
+        def sweep(eq, grid, cfg=CFG):
+            x0s = list(grid)[:3]
+            return [
+                DisplacementSample(x0s[0], 0.1, 0.0, False),
+                DisplacementSample(x0s[1], math.nan, math.nan, True),
+                DisplacementSample(x0s[2], -0.1, 0.0, False),
+            ]
+
+        def refine(*args):
+            raise AssertionError("a bracket across an escaped sample was refined")
+
+        monkeypatch.setattr(oracle, "displacement_map", sweep)
+        monkeypatch.setattr(oracle, "_refine_bracket", refine)
+        rep = count_cycles_in_V(constants(1, 2, 1), CFG, grid_density=3)
+        assert rep.count == 0
+        assert rep.sign_changes == 0
+        assert rep.escaped_samples == 1
 
     def test_report_json_shape(self):
         rep = count_cycles_in_V(constants(1, 2, 1), CFG, grid_density=60)

@@ -21,9 +21,9 @@ from abelcycles.poly import (
     sign_implication,
     sign_report_on_real_line,
     sign_variations,
-    sturm_sequence,
 )
 
+from identities import sturm_sequence
 from oracles import brute_force_distinct_roots, robust_implication_violation
 
 P = RationalPoly.from_coeffs

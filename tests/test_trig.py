@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelcycles.poly import RationalPoly, SignOnSet
+from abelcycles.criteria import eta_candidates
+from abelcycles.gallery import example1_factored, example2_system
+from abelcycles.planar import cherkas_transform
+from abelcycles.poly import RationalPoly, SignOnSet, count_distinct_roots
 from abelcycles.trig import (
     NonHomogeneousError,
     Period,
@@ -24,6 +27,8 @@ from abelcycles.trig import (
     circle_point,
     definite_sign_on_period,
     definite_sign_report,
+    has_odd_order_pole,
+    vanishing_order_at_pi,
 )
 from oracles import trig_grid_extrema
 
@@ -265,6 +270,83 @@ class TestPoleCancellation:
             TrigPoly.sinwave(coeff=F(-1, 2)), TrigPoly.coswave()
         )
         assert out.equals(expected)
+
+
+def _reference_pole_free(f: TrigRational) -> bool:
+    """pole_free as derived before the half-angle pair was kept: re-chart the
+    reduced denominator."""
+    r = f.reduced()
+    nd, _ = r.den.half_angle_chart()
+    if nd.degree > 0 and count_distinct_roots(nd) > 0:
+        return False
+    return r.den.eval_at(F(-1), F(0)) != 0
+
+
+def _reference_has_odd_order_pole(f: TrigRational) -> bool:
+    """has_odd_order_pole as derived before the half-angle pair was kept:
+    re-chart the reduced numerator and denominator and cancel their gcd."""
+    r = f.reduced()
+    nd, _ = r.den.half_angle_chart()
+    if nd.degree > 0:
+        nn, _ = r.num.half_angle_chart()
+        g = nd.gcd(nn)
+        core = nd.exact_div(g) if g.degree > 0 else nd
+        for factor, mult in core.squarefree_decomposition():
+            if mult % 2 == 1 and factor.degree > 0 and count_distinct_roots(factor) > 0:
+                return True
+    if r.den.eval_at(F(-1), F(0)) == 0:
+        vd = vanishing_order_at_pi(r.den)
+        vn = vanishing_order_at_pi(r.num) if not r.num.is_zero else vd
+        if vd > vn and (vd - vn) % 2 == 1:
+            return True
+    return False
+
+
+def _gallery_rationals() -> list[TrigRational]:
+    """The gallery's trig rationals, b2 + eta a1'/a1 for every candidate eta,
+    and a few fixed poles."""
+    out = []
+    for f in (example1_factored(), cherkas_transform(example2_system())):
+        out += [f.a2, f.b2, f.log_deriv_a1(), f.c1, f.c2, f.c3]
+        out += [cancel_pole_combination(f.b2, f.a1, eta) for eta in eta_candidates(f)]
+    one, c, s = TrigPoly.constant(1), TrigPoly.coswave(), TrigPoly.sinwave()
+    out += [
+        TrigRational(one, c * c),  # even-order poles at pi/2 and 3pi/2
+        TrigRational(one, one + c),  # even-order pole at pi only
+        TrigRational(s, one + c),  # tan(t/2): odd-order pole at pi only
+        TrigRational(c * (one + c), c * (one + s)),  # cancels to a pole-free form
+        TrigRational.zero(),
+    ]
+    return out
+
+
+GALLERY_RATIONALS = _gallery_rationals()
+
+
+class TestReduceOnce:
+    @pytest.mark.parametrize("g", GALLERY_RATIONALS)
+    def test_reduced_form_is_kept_and_carries_its_pair(self, g):
+        f = TrigRational(g.num, g.den)
+        r = f.reduced()
+        assert f.reduced() is r
+        assert r.reduced() is r
+        assert f.half_angle_pair() == r.half_angle_pair()
+        # the pair a fresh copy derives equals the one the reduced form carries
+        assert TrigRational(r.num, r.den).half_angle_pair() == r.half_angle_pair()
+        assert f.chart is r.chart
+        assert f.sign_proxy() == r.num * r.den
+
+    @pytest.mark.parametrize("f", GALLERY_RATIONALS)
+    def test_pole_tests_match_the_rechart_derivation(self, f):
+        for g in (f, TrigRational(f.num, f.den), f.reduced()):
+            assert g.pole_free() == _reference_pole_free(g)
+            assert has_odd_order_pole(g) == _reference_has_odd_order_pole(g)
+
+    def test_the_fixed_cases_cover_every_branch(self):
+        fs = GALLERY_RATIONALS
+        assert {g.pole_free() for g in fs} == {True, False}
+        assert {has_odd_order_pole(g) for g in fs} == {True, False}
+        assert any(not g.pole_free() and not has_odd_order_pole(g) for g in fs)
 
 
 class TestSignClassification:
