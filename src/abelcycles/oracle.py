@@ -6,6 +6,8 @@ Runge-Kutta 5(4) pair (Dormand-Prince coefficients, FSAL), co-integrating the
 variational equation so the derivative of the displacement map comes from the
 flow itself rather than finite differences. Sweeps are vectorized over the
 initial conditions with a shared adaptive step and per-sample escape flags.
+A sample is flagged escaped as soon as a comparison bound proves that it
+blows up before the end of the span, so it stops costing steps.
 
 Region handling mirrors the exact classifier: the bounded fiber (0, 1/a1(0))
 when a1 starts positive, a flagged heuristic cutoff when the fiber is
@@ -36,6 +38,16 @@ Equation = Union[AbelEquation, FactoredAbel]
 UNBOUNDED_FIBER_CUTOFF = 1.0e3  # heuristic: no a priori amplitude bound
 NONHYPERBOLIC_MARGIN = 1.0e-6
 BISECTION_WIDTH = 1.0e-10
+
+# comparison bound for blow-up: the circle is cut into _ARCS equal arcs, and a
+# window of _WINDOW arcs bounds the coefficients on the way to infinity
+_ARCS = 1024
+_WINDOW = 4
+_ARC = 2.0 * math.pi / _ARCS
+_ENDS_COS = np.cos(np.arange(_ARCS + 1) * _ARC)
+_ENDS_SIN = np.sin(np.arange(_ARCS + 1) * _ARC)
+_SAFETY = 1.0 + 1.0e-9
+BLOWUP_REASON = "blows up before t1 (comparison bound)"
 
 
 @dataclass(frozen=True)
@@ -156,8 +168,46 @@ def _eval_terms(terms: tuple, c: float, s: float) -> float:
     return total
 
 
+def _arc_range(terms: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of sum co cos^i sin^j on each arc: the endpoint
+    values widened by a Lipschitz bound over half an arc and by a rounding
+    margin."""
+    values = np.zeros(_ARCS + 1)
+    lipschitz = size = 0.0
+    for i, j, co in terms:
+        values = values + co * _ENDS_COS**i * _ENDS_SIN**j
+        lipschitz += abs(co) * (i + j)
+        size += abs(co)
+    slack = lipschitz * math.pi / _ARCS + 1.0e-12 * size
+    lo = np.minimum(values[:-1], values[1:]) - slack
+    hi = np.maximum(values[:-1], values[1:]) + slack
+    return lo, hi
+
+
+def _arc_bounds(coeffs: list, guard: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per arc, A1 >= |C1|, A2 >= |C2| and m <= C3. m is 0 on an arc where a
+    denominator may come within the guard of zero, or where C3 has no
+    positive lower bound."""
+    bounds = []
+    poles = np.zeros(_ARCS, dtype=bool)
+    for num, den in coeffs:
+        n_lo, n_hi = _arc_range(num)
+        d_lo, d_hi = _arc_range(den)
+        sign = np.where(d_lo > guard, 1.0, np.where(d_hi < -guard, -1.0, 0.0))
+        poles |= sign == 0.0
+        d_min = np.where(sign > 0, d_lo, -d_hi)
+        d_max = np.where(sign > 0, d_hi, -d_lo)
+        n_low = np.where(sign > 0, n_lo, -n_hi)
+        with np.errstate(all="ignore"):
+            bounds.append((np.maximum(np.abs(n_lo), np.abs(n_hi)) / d_min, n_low / d_max))
+    (a1, _), (a2, _), (_, m) = bounds
+    m = np.where(poles | ~(m > 0.0), 0.0, m)
+    return a1, a2, m
+
+
 class CubicField:
-    """Float evaluator of the cubic right-hand side and its x-derivative."""
+    """Float evaluator of the cubic right-hand side and its x-derivative,
+    with the comparison bound that proves blow-up."""
 
     def __init__(self, eq: Equation, guard: float):
         abel = eq.to_abel() if isinstance(eq, FactoredAbel) else eq
@@ -168,6 +218,18 @@ class CubicField:
         ]
         self.guard = guard
         self.period = abel.period.value_float
+        # over the window of arcs k .. k + _WINDOW - 1, C3 >= rate[k] and
+        # |x| >= radius[k] gives |x|' >= (rate/2) |x|^3
+        a1, a2, m = _arc_bounds(self.coeffs, guard)
+        rate, big1, big2 = m, a1, a2
+        for w in range(1, _WINDOW):
+            rate = np.minimum(rate, np.roll(m, -w))
+            big1 = np.maximum(big1, np.roll(a1, -w))
+            big2 = np.maximum(big2, np.roll(a2, -w))
+        with np.errstate(all="ignore"):
+            radius = np.maximum(4.0 * big2 / rate, 2.0 * np.sqrt(big1 / rate))
+        self.rate = rate
+        self.radius = np.where(rate > 0.0, radius * _SAFETY, np.inf)
 
     def values(self, t: float) -> tuple[float, float, float]:
         c, s = math.cos(t), math.sin(t)
@@ -181,9 +243,21 @@ class CubicField:
 
     def __call__(self, t: float, x: np.ndarray, z: np.ndarray):
         c1, c2, c3 = self.values(t)
-        with np.errstate(all="ignore"):
-            fx = c1 + x * (2.0 * c2 + 3.0 * c3 * x)
-            return x * (c1 + x * (c2 + c3 * x)), fx * z
+        fx = c1 + x * (2.0 * c2 + 3.0 * c3 * x)
+        return x * (c1 + x * (c2 + c3 * x)), fx * z
+
+    def blows_up(self, t: float, t1: float, x: np.ndarray) -> np.ndarray:
+        """Samples that the comparison bound proves infinite before t1: on
+        the window from t, |x| stays above the radius and is infinite before
+        t + 1/(rate x^2)."""
+        k = math.floor(t / _ARC)
+        rate = float(self.rate[k % _ARCS])
+        end = min((k + _WINDOW) * _ARC, t1)
+        if rate <= 0.0 or end <= t:
+            return np.zeros(x.shape, dtype=bool)
+        # t + _SAFETY/(rate x^2) < end, solved for |x|
+        reach = max(float(self.radius[k % _ARCS]), math.sqrt(_SAFETY / (rate * (end - t))))
+        return np.abs(x) > reach
 
 
 # Dormand-Prince 5(4) tableau
@@ -236,26 +310,26 @@ def _integrate_batch(
         escaped[mask] = True
         active[mask] = False
 
-    big = np.abs(x) > cfg.x_max
-    mark(big, "initial condition beyond x_max")
-
-    try:
-        k1 = field(t, x, z)
-    except _PoleGuard as exc:
-        mark(active.copy(), str(exc))
-        return x, z, escaped, reasons
-
-    steps = 0
-    while t < t1 - 1e-14 * span and active.any():
-        steps += 1
-        if steps > cfg.max_steps:
-            mark(active.copy(), "step budget exhausted")
-            break
-        h = min(h, t1 - t)
-        kx = [k1[0]]
-        kz = [k1[1]]
+    with np.errstate(all="ignore"):
+        big = np.abs(x) > cfg.x_max
+        mark(big, "initial condition beyond x_max")
+        mark(active & field.blows_up(t, t1, x), BLOWUP_REASON)
         try:
-            with np.errstate(all="ignore"):
+            k1 = field(t, x, z)
+        except _PoleGuard as exc:
+            mark(active.copy(), str(exc))
+            return x, z, escaped, reasons
+
+        steps = 0
+        while t < t1 - 1e-14 * span and active.any():
+            steps += 1
+            if steps > cfg.max_steps:
+                mark(active.copy(), "step budget exhausted")
+                break
+            h = min(h, t1 - t)
+            kx = [k1[0]]
+            kz = [k1[1]]
+            try:
                 for stage in range(1, 7):
                     xa = x.copy()
                     za = z.copy()
@@ -265,45 +339,46 @@ def _integrate_batch(
                     fx, fz = field(t + _DP_C[stage] * h, xa, za)
                     kx.append(fx)
                     kz.append(fz)
-        except _PoleGuard as exc:
-            h *= 0.25
-            if h < cfg.min_step:
-                mark(active.copy(), str(exc))
-                break
-            continue
-        # stage 7 state is the 5th-order solution (FSAL)
-        x5, z5 = xa, za
-        err_x = np.zeros_like(x)
-        err_z = np.zeros_like(z)
-        with np.errstate(all="ignore"):
+            except _PoleGuard as exc:
+                h *= 0.25
+                if h < cfg.min_step:
+                    mark(active.copy(), str(exc))
+                    break
+                continue
+            # stage 7 state is the 5th-order solution (FSAL)
+            x5, z5 = xa, za
+            err_x = np.zeros_like(x)
+            err_z = np.zeros_like(z)
             for coeff, sx, sz in zip(_DP_ERR, kx, kz):
                 err_x = err_x + h * coeff * sx
                 err_z = err_z + h * coeff * sz
-        with np.errstate(invalid="ignore", over="ignore"):
             scale_x = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x5))
             scale_z = cfg.atol + cfg.rtol * np.maximum(np.abs(z), np.abs(z5))
             ratio = np.maximum(np.abs(err_x) / scale_x, np.abs(err_z) / scale_z)
-        bad = active & (~np.isfinite(ratio) | ~np.isfinite(x5))
-        ratio = np.where(np.isfinite(ratio), ratio, np.inf)
-        enorm = float(np.max(ratio[active])) if active.any() else 0.0
-        if enorm > 1.0 or bad.any():
-            if h <= cfg.min_step * 1.0001:
-                # cannot shrink further: drop the offending samples, keep
-                # the rest moving
-                worst = active & (ratio > 1.0)
-                mark(worst, "step-size underflow (blow-up or stiffness)")
+            bad = active & (~np.isfinite(ratio) | ~np.isfinite(x5))
+            ratio = np.where(np.isfinite(ratio), ratio, np.inf)
+            enorm = float(np.max(ratio[active])) if active.any() else 0.0
+            if enorm > 1.0 or bad.any():
+                if h <= cfg.min_step * 1.0001:
+                    # cannot shrink further: drop the offending samples, keep
+                    # the rest moving
+                    worst = active & (ratio > 1.0)
+                    mark(worst, "step-size underflow (blow-up or stiffness)")
+                    continue
+                h = max(h * max(0.2, 0.9 * enorm ** (-0.2) if enorm > 0 else 0.2), cfg.min_step)
                 continue
-            h = max(h * max(0.2, 0.9 * enorm ** (-0.2) if enorm > 0 else 0.2), cfg.min_step)
-            continue
-        t += h
-        x = np.where(active, x5, x)
-        z = np.where(active, z5, z)
-        k1 = (kx[6], kz[6])
-        big = active & (np.abs(x) > cfg.x_max)
-        if big.any():
-            mark(big, "left the x_max window")
-        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
-        h = min(h * factor, h_max)
+            t += h
+            x = np.where(active, x5, x)
+            z = np.where(active, z5, z)
+            k1 = (kx[6], kz[6])
+            big = active & (np.abs(x) > cfg.x_max)
+            if big.any():
+                mark(big, "left the x_max window")
+            doomed = active & field.blows_up(t, t1, x)
+            if doomed.any():
+                mark(doomed, BLOWUP_REASON)
+            factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
+            h = min(h * factor, h_max)
     return x, z, escaped, reasons
 
 
@@ -314,8 +389,8 @@ def integrate(
     t1: float,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> IntegrationResult:
-    """Solve from (t0, x0) to t1; escape (x_max, pole guard, or step
-    underflow) is reported, not raised."""
+    """Solve from (t0, x0) to t1; escape (x_max, pole guard, step
+    underflow, or proven blow-up) is reported, not raised."""
     field = CubicField(eq, cfg.pole_guard)
     x, z, esc, reasons = _integrate_batch(field, t0, t1, [x0], cfg)
     return IntegrationResult(
@@ -327,15 +402,20 @@ def integrate(
     )
 
 
+def _field_of(eq: Union[Equation, CubicField], cfg: IntegratorConfig) -> CubicField:
+    return eq if isinstance(eq, CubicField) else CubicField(eq, cfg.pole_guard)
+
+
 def displacement_map(
-    eq: Equation,
+    eq: Union[Equation, CubicField],
     grid: Sequence[float],
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> list[DisplacementSample]:
     """One displacement sample per initial condition: d = u(T, x0) - x0 and
     d' from the variational factor, both NaN for an escaped sample. The
-    whole grid is one batch, so a sweep is bitwise repeatable."""
-    field = CubicField(eq, cfg.pole_guard)
+    whole grid is one batch, so a sweep is bitwise repeatable. `eq` may be
+    a CubicField already built for the equation with cfg's pole guard."""
+    field = _field_of(eq, cfg)
     xs = np.asarray(list(grid), dtype=float)
     xT, zT, esc, _ = _integrate_batch(field, 0.0, field.period, xs, cfg)
     out = []
@@ -392,14 +472,13 @@ def _classify(dprime: float) -> str:
 
 
 def _refine_bracket(
-    eq: Equation,
+    field: CubicField,
     period: float,
     lo: float,
     hi: float,
     d_lo: float,
     cfg: IntegratorConfig,
 ) -> tuple[float, float, tuple[float, float]]:
-    field = CubicField(eq, cfg.pole_guard)
     while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         x, z, esc, _ = _integrate_batch(field, 0.0, period, [mid], cfg)
@@ -434,7 +513,8 @@ def count_cycles_in_V(
     swept: list[DisplacementSample] = []
     for label, eq, lo, hi in comps:
         period = eq.period.value_float
-        samples = displacement_map(eq, graded_grid(lo, hi, grid_density), cfg)
+        field = CubicField(eq, cfg.pole_guard)
+        samples = displacement_map(field, graded_grid(lo, hi, grid_density), cfg)
         swept.extend(samples)
         for s in samples:
             if s.d == 0.0:
@@ -449,7 +529,7 @@ def count_cycles_in_V(
             if (left.d > 0) != (right.d > 0):
                 sign_changes += 1
                 x_star, dprime, bracket = _refine_bracket(
-                    eq, period, left.x0, right.x0, left.d, cfg
+                    field, period, left.x0, right.x0, left.d, cfg
                 )
                 cycles.append(
                     Cycle(label, bracket, x_star, dprime, _classify(dprime))

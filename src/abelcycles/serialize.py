@@ -19,6 +19,7 @@ keys so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -58,6 +59,15 @@ def detect_schema(data: dict) -> str:
     )
 
 
+def _malformed(what: str, exc: Exception) -> SchemaError:
+    # Python refuses to parse an int longer than its digit limit; say so in
+    # the terms of the input, not of the interpreter
+    if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+        limit = sys.get_int_max_str_digits()
+        return SchemaError(f"{what}: a coefficient has more than {limit} digits")
+    return SchemaError(f"{what}: {exc}")
+
+
 def parse_input(data: dict) -> ParsedInput:
     kind = detect_schema(data)
     try:
@@ -70,13 +80,13 @@ def parse_input(data: dict) -> ParsedInput:
         else:
             model = FactoredAbel.from_json(data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"malformed {kind} input: {exc}") from exc
+        raise _malformed(f"malformed {kind} input", exc) from exc
     a1 = None
     if kind in ("planar", "abel") and "a1" in data:
         try:
             a1 = TrigPoly.from_json(data["a1"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"malformed a1 candidate: {exc}") from exc
+            raise _malformed("malformed a1 candidate", exc) from exc
     return ParsedInput(kind, model, a1)
 
 
@@ -84,8 +94,8 @@ def load_input(path: str) -> ParsedInput:
     with open(path) as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise _malformed("not valid JSON", exc) from exc
     return parse_input(data)
 
 

@@ -5,8 +5,10 @@ of the pipeline; expected values here were derived by hand and double-checked
 numerically before the implementation existed.
 """
 
+import random
 from fractions import Fraction
 
+from abelcycles.abel import FactoredAbel
 from abelcycles.poly import RationalPoly
 from abelcycles.trig import TrigPoly, TrigRational
 
@@ -114,3 +116,24 @@ EX2_CHART_PHI = (
     * RationalPoly.from_coeffs([-1, 10])
     * RationalPoly.from_coeffs([1, -10, 50])
 ).scale(F(1, 10000))
+
+
+# --- random instances ------------------------------------------------------
+
+def random_instance(rng: random.Random) -> FactoredAbel:
+    """A small random factored instance, as drawn by acceptance gate 6."""
+    def frac(lo=-2, hi=2, den=2):
+        return F(rng.randint(lo, hi), rng.randint(1, den))
+
+    sign = rng.choice([-1, 1])
+    if rng.random() < 0.5:
+        a1 = TrigPoly.constant(sign * F(rng.randint(1, 2)))
+    else:
+        a1 = TrigPoly.constant(sign * F(rng.randint(2, 3))) + TrigPoly.coswave(
+            1, frac(-1, 1, 2)
+        )
+    a2 = TrigPoly.constant(frac()) + TrigPoly.sinwave(1, frac(-1, 1, 2))
+    b2 = TrigPoly.constant(frac()) + TrigPoly.coswave(1, frac(-1, 1, 2))
+    return FactoredAbel.from_parts(
+        a1, TrigRational.from_poly(a2), TrigRational.from_poly(b2)
+    )

@@ -60,6 +60,7 @@ from data import (
     EX2_Q3_TERMS,
     RIGID_K,
     RIGID_P_TERMS,
+    random_instance,
 )
 
 F = Fraction
@@ -326,31 +327,13 @@ def test_criterion_5_numerical_integrity():
             assert verify_invariance(f, "zero", CFG) == 0.0
 
 
-def _random_instance(rng: random.Random) -> FactoredAbel:
-    def frac(lo=-2, hi=2, den=2):
-        return F(rng.randint(lo, hi), rng.randint(1, den))
-
-    sign = rng.choice([-1, 1])
-    if rng.random() < 0.5:
-        a1 = TrigPoly.constant(sign * F(rng.randint(1, 2)))
-    else:
-        a1 = TrigPoly.constant(sign * F(rng.randint(2, 3))) + TrigPoly.coswave(
-            1, frac(-1, 1, 2)
-        )
-    a2 = TrigPoly.constant(frac()) + TrigPoly.sinwave(1, frac(-1, 1, 2))
-    b2 = TrigPoly.constant(frac()) + TrigPoly.coswave(1, frac(-1, 1, 2))
-    return FactoredAbel.from_parts(
-        a1, TrigRational.from_poly(a2), TrigRational.from_poly(b2)
-    )
-
-
 def test_criterion_6_certified_bounds_respected_on_random_instances():
     with criterion(6, "random instances respect certified bounds", 600.0):
         rng = random.Random(6)
         for checker, bound in ((check_no_cycle, 0), (check_at_most_one, 1)):
             found = 0
             while found < 20:
-                f = _random_instance(rng)
+                f = random_instance(rng)
                 verdict = None
                 for eta in eta_candidates(f):
                     v = checker(f, eta)

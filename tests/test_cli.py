@@ -185,6 +185,24 @@ class TestTrigDegreeCap:
         }
 
 
+class TestOversizedCoefficient:
+    DIGITS = "1" * 5001
+
+    @pytest.mark.parametrize("as_string", [True, False], ids=["string", "number"])
+    def test_exits_two_with_a_plain_message(self, as_string, tmp_path, capsys):
+        big = f'"{self.DIGITS}"' if as_string else self.DIGITS
+        one = '[{"i": 0, "j": 0, "c": "1"}]'
+        path = tmp_path / "input.json"
+        path.write_text(f'{{"a1": [{{"i": 0, "j": 0, "c": {big}}}], "a2": {one}, "b2": {one}}}')
+        code = main(["check", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "more than 4300 digits" in err
+        assert "sys." not in err
+
+
 def _witness_from_json(data: dict) -> Witness:
     circle = data.get("circle")
     return Witness(

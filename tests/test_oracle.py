@@ -2,12 +2,19 @@
 
 import csv
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelcycles import oracle
-from abelcycles.abel import AbelEquation, FactoredAbel
+from abelcycles.abel import AbelEquation, FactoredAbel, RegionKind, classify_region
 from abelcycles.oracle import (
+    BLOWUP_REASON,
+    CubicField,
     DisplacementSample,
     IntegratorConfig,
     count_cycles_in_V,
@@ -21,7 +28,7 @@ from abelcycles.oracle import (
 from abelcycles.planar import HomogeneousSystem, cherkas_transform
 from abelcycles.trig import TrigPoly, TrigRational
 
-from data import EX1_A1, EX1_A2, EX1_B2
+from data import EX1_A1, EX1_A2, EX1_B2, random_instance
 
 CFG = IntegratorConfig()
 
@@ -191,6 +198,200 @@ class TestCycleCounting:
         assert data["region"] == "A1Positive"
         assert data["cycles"][0]["stability"] == "Stable"
         assert data["cycles"][0]["bracket"][0] <= data["cycles"][0]["x_star"]
+
+
+MONOMIALS = [(i, j) for i in range(5) for j in range(5 - i)]
+
+
+def without_blowup_bound(monkeypatch):
+    """Zero the lower bound of C3 on every arc, so nothing is certified."""
+    arc_bounds = oracle._arc_bounds
+
+    def no_rate(coeffs, guard):
+        a1, a2, m = arc_bounds(coeffs, guard)
+        return a1, a2, np.zeros_like(m)
+
+    monkeypatch.setattr(oracle, "_arc_bounds", no_rate)
+
+
+def arc_rates(c1, c2, c3) -> np.ndarray:
+    eq = AbelEquation.from_coefficients(c1, c2, c3)
+    _, _, m = oracle._arc_bounds(CubicField(eq, CFG.pole_guard).coeffs, CFG.pole_guard)
+    return m
+
+
+class TestBlowUpBound:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.sampled_from(MONOMIALS), st.integers(-6, 6), st.integers(1, 4)
+            ),
+            max_size=6,
+        ),
+        arc=st.integers(0, oracle._ARCS - 1),
+        points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_arc_range_bounds_the_polynomial(self, terms, arc, points):
+        compiled = tuple((i, j, float(Fraction(n, d))) for (i, j), n, d in terms)
+        lo, hi = oracle._arc_range(compiled)
+        for u in points:
+            t = (arc + u) * oracle._ARC
+            c, s = math.cos(t), math.sin(t)
+            value = math.fsum(co * c**i * s**j for i, j, co in compiled)
+            assert lo[arc] <= value <= hi[arc]
+
+    def test_arc_bounds_bound_the_coefficients(self):
+        cw, sw, const = TrigPoly.coswave, TrigPoly.sinwave, TrigPoly.constant
+        c1 = TrigRational(sw(1, 3), const(2) + cw(1, 1))
+        c2 = TrigRational(const(1) - sw(2, 4), const(-3) + sw(1, 2))
+        c3 = TrigRational(const(2) + sw(1, 1), const(3) + cw(2, -2))
+        field = CubicField(AbelEquation.from_coefficients(c1, c2, c3), CFG.pole_guard)
+        a1, a2, m = oracle._arc_bounds(field.coeffs, CFG.pole_guard)
+        assert (m > 0).all()
+        for k in range(oracle._ARCS):
+            for u in (0.0, 0.3, 0.7, 1.0):
+                v1, v2, v3 = field.values((k + u) * oracle._ARC)
+                assert abs(v1) <= a1[k] and abs(v2) <= a2[k] and v3 >= m[k]
+
+    def test_constant_blow_up_is_certified_at_the_start(self, monkeypatch):
+        # in the y = a1 x chart C3 = a2/a1 = 1/2 and C1 = 0, so both
+        # samples of grid 1 (y = -500 and y = 501) blow up within 1e-5
+        f = constants(-2, -1, 0)
+        calls = []
+        field_call = CubicField.__call__
+
+        def counting(self, t, x, z):
+            calls.append(t)
+            return field_call(self, t, x, z)
+
+        monkeypatch.setattr(CubicField, "__call__", counting)
+        rep = count_cycles_in_V(f, CFG, grid_density=1)
+        assert rep.total_samples == 2
+        assert rep.escaped_samples == 2
+        assert len(calls) <= 2
+        monkeypatch.undo()
+        for _, eq, lo, hi in oracle.fiber_components(f)[0]:
+            x0 = graded_grid(lo, hi, 1)[0]
+            r = integrate(eq, x0, 0.0, eq.period.value_float, CFG)
+            assert r.escaped
+            assert r.reason == BLOWUP_REASON
+
+    def test_certifies_only_inside_the_window_and_before_t1(self):
+        # x' = x^3/2 from x0 blows up at 1/x0^2; a window is 4 arcs long
+        half = TrigRational.constant(Fraction(1, 2))
+        field = CubicField(
+            AbelEquation.from_coefficients(TrigRational.zero(), TrigRational.zero(), half),
+            CFG.pole_guard,
+        )
+        arc = oracle._ARC
+        assert oracle._WINDOW == 4
+
+        def lasting(arcs):  # x0 that blows up after this many arcs
+            return 1.0 / math.sqrt(0.5 * arcs * arc)
+
+        x = np.array([lasting(2), -lasting(2), lasting(3.75), lasting(8), 0.0])
+        assert field.blows_up(0.0, 2 * math.pi, x).tolist() == [
+            True, True, True, False, False
+        ]
+        # from the middle of an arc the window ends 3.5 arcs later
+        assert field.blows_up(0.5 * arc, 2 * math.pi, x).tolist() == [
+            True, True, False, False, False
+        ]
+        # and nothing is certified past t1
+        assert not field.blows_up(0.0, arc, x).any()
+
+    def test_gate6_sweeps_agree_with_the_bound_switched_off(self, monkeypatch):
+        # A1Negative draws of gate 6's generator: the first (every sample is
+        # certified), the first with one component escaping and the other
+        # bounded, and the first whose batch mixes escaping and bounded
+        # samples, where the shared step differs between the two runs
+        rng = random.Random(6)
+        draws = []
+        while len(draws) < 19:
+            f = random_instance(rng)
+            if classify_region(f).kind is RegionKind.A1_NEGATIVE:
+                draws.append(f)
+        for f in (draws[0], draws[3], draws[18]):
+            comps = oracle.fiber_components(f)[0]
+            assert any(
+                (CubicField(eq, CFG.pole_guard).rate > 0).any() for _, eq, _, _ in comps
+            )
+            on = count_cycles_in_V(f, CFG, grid_density=20)
+            with monkeypatch.context() as patch:
+                without_blowup_bound(patch)
+                off = count_cycles_in_V(f, CFG, grid_density=20)
+            assert on.count == off.count
+            assert [s.escaped for s in on.samples] == [s.escaped for s in off.samples]
+            assert on.escaped_samples > 0
+            for a, b in zip(on.samples, off.samples):
+                if not b.escaped:
+                    assert abs(a.d - b.d) <= 1e-12 * max(1.0, abs(b.d))
+
+    def test_no_rate_where_c3_is_not_positive(self):
+        one = TrigRational.constant(1)
+        for c3 in (
+            TrigRational.constant(-1),
+            TrigRational.zero(),
+            TrigRational.from_poly(TrigPoly.constant(-1) - TrigPoly.sinwave(2, 1)),
+        ):
+            assert not arc_rates(one, one, c3).any()
+        # 1 - cos t >= 0 touches zero at t = 0: no rate on the two arcs
+        # that meet there, a rate on the far side
+        touching = TrigPoly.constant(1) - TrigPoly.coswave(1, 1)
+        m = arc_rates(one, one, TrigRational.from_poly(touching))
+        assert m[0] == m[-1] == 0.0
+        assert m[oracle._ARCS // 2] > 0.0
+
+    def test_no_rate_next_to_a_pole(self):
+        # C2 = 1/cos t has poles at pi/2 and 3pi/2, the ends of arcs
+        # N/4 - 1 | N/4 and 3N/4 - 1 | 3N/4; C3 = 1 is positive
+        n = oracle._ARCS
+        pole = TrigRational(TrigPoly.constant(1), TrigPoly.coswave(1, 1))
+        m = arc_rates(TrigRational.zero(), pole, TrigRational.constant(1))
+        for k in (n // 4 - 1, n // 4, 3 * n // 4 - 1, 3 * n // 4):
+            assert m[k] == 0.0
+        assert m[0] > 0.0 and m[n // 2] > 0.0
+        # and so no window that holds those arcs certifies anything
+        field = CubicField(
+            AbelEquation.from_coefficients(TrigRational.zero(), pole, TrigRational.constant(1)),
+            CFG.pole_guard,
+        )
+        for k in range(n // 4 - oracle._WINDOW, n // 4 + 1):
+            assert field.rate[k] == 0.0
+            assert not field.blows_up(k * oracle._ARC, 10.0, np.array([1e300])).any()
+        # a pole in C3 itself: no rate next to it either
+        m = arc_rates(TrigRational.zero(), TrigRational.zero(), pole)
+        for k in (n // 4 - 1, n // 4, 3 * n // 4 - 1, 3 * n // 4):
+            assert m[k] == 0.0
+
+    def test_rate_where_a_negative_denominator_meets_a_negative_numerator(self):
+        # C3 = (cos + 1/2)/(cos - 1/2) is stored as (-1 - 2 cos)/(1 - 2 cos):
+        # both negative near t = 0, where C3 = 3
+        n = oracle._ARCS
+        half = TrigPoly.constant(Fraction(1, 2))
+        c3 = TrigRational(TrigPoly.coswave(1, 1) + half, TrigPoly.coswave(1, 1) - half)
+        num, den = oracle._compile_rational(c3)
+        assert oracle._eval_terms(den, 1.0, 0.0) < 0 and oracle._eval_terms(num, 1.0, 0.0) < 0
+        m = arc_rates(TrigRational.zero(), TrigRational.zero(), c3)
+        assert m[0] > 0.0 and m[-1] > 0.0 and m[n // 2] > 0.0
+        # its pole at pi/3 and its zero at 2pi/3 get none
+        assert m[n // 6] == 0.0 and m[n // 3] == 0.0
+
+    def test_certifies_only_beyond_the_radius(self):
+        # x' = x^2 (x/2 - 1000) falls from x = 1000 although 1/(m x^2) is
+        # short; past the radius 4 A2/m = 8000 it blows up
+        field = CubicField(
+            AbelEquation.from_coefficients(
+                TrigRational.zero(),
+                TrigRational.constant(-1000),
+                TrigRational.constant(Fraction(1, 2)),
+            ),
+            CFG.pole_guard,
+        )
+        assert 8000.0 < field.radius[0] < 8000.001
+        x = np.array([1000.0, 7999.0, 8001.0, -8001.0])
+        assert field.blows_up(0.0, 2 * math.pi, x).tolist() == [False, False, True, True]
 
 
 class TestInvariance:
