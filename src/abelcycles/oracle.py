@@ -442,6 +442,21 @@ def graded_grid(lo: float, hi: float, m: int) -> list[float]:
     return out
 
 
+def component_grid(region: RegionKind, lo: float, hi: float, m: int) -> list[float]:
+    """The m initial conditions swept on the fiber component (lo, hi) of
+    fiber_components, in ascending order. A component of the two-component
+    region runs from a finite end (y = 0 or y = 1) to the cut-off, and point
+    k sits at distance (hi - lo)^(k/(m+1)) - 1 from the finite end, so that
+    a cycle near the invariant curve is not stepped over; every other
+    component takes graded_grid."""
+    if region is not RegionKind.A1_NEGATIVE:
+        return graded_grid(lo, hi, m)
+    gaps = [(hi - lo) ** (k / (m + 1)) - 1.0 for k in range(1, m + 1)]
+    if hi <= 0.0:  # y < 0: the finite end is hi
+        return [hi - g for g in reversed(gaps)]
+    return [lo + g for g in gaps]
+
+
 def fiber_components(f: FactoredAbel) -> tuple[list[tuple[str, Equation, float, float]], bool, str]:
     """Connected components of V's fiber at t=0 in bounded coordinates:
     (label, equation to integrate, lo, hi) per component, heuristic flag,
@@ -473,29 +488,45 @@ def _classify(dprime: float) -> str:
 
 def _refine_bracket(
     field: CubicField,
-    period: float,
-    lo: float,
-    hi: float,
-    d_lo: float,
+    left: DisplacementSample,
+    right: DisplacementSample,
     cfg: IntegratorConfig,
 ) -> tuple[float, float, tuple[float, float]]:
+    """Shrink the bracket between two grid neighbours with opposite signs of
+    d to BISECTION_WIDTH by safeguarded Newton (rtsafe; Brent 1973): step
+    -d/d' with the variational d' when that stays strictly inside the
+    bracket and is at most half the previous step, else bisect. The first
+    step starts from the end with the smaller |d| and uses the sweep's d
+    and d', so it costs no solve. x* is the midpoint of the final bracket,
+    and d' there the mean of the d' known at its ends."""
+    lo, hi = left.x0, right.x0
+    lo_positive = left.d > 0
+    dp_lo, dp_hi = left.dprime, right.dprime
+    near = left if abs(left.d) <= abs(right.d) else right
+    x, d, dprime = near.x0, near.d, near.dprime
+    last = hi - lo
     while hi - lo > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        x, z, esc, _ = _integrate_batch(field, 0.0, period, [mid], cfg)
+        step = -d / dprime if dprime != 0.0 else math.inf
+        # lengthened, a converged iterate's next solve lands past the root
+        if abs(step) < 0.5 * BISECTION_WIDTH:
+            step = math.copysign(0.5 * BISECTION_WIDTH, step)
+        if lo < x + step < hi and abs(step) <= 0.5 * last:
+            x += step
+            last = abs(step)
+        else:
+            x = 0.5 * (lo + hi)
+            last = 0.5 * (hi - lo)
+        xT, zT, esc, _ = _integrate_batch(field, 0.0, field.period, [x], cfg)
         if esc[0]:
             break
-        d_mid = float(x[0]) - mid
-        if d_mid == 0.0:
-            lo = hi = mid
-            break
-        if (d_mid > 0) == (d_lo > 0):
-            lo, d_lo = mid, d_mid
+        d, dprime = float(xT[0]) - x, float(zT[0]) - 1.0
+        if d == 0.0:
+            return x, dprime, (x, x)
+        if (d > 0) == lo_positive:
+            lo, dp_lo = x, dprime
         else:
-            hi = mid
-    x_star = 0.5 * (lo + hi)
-    x, z, esc, _ = _integrate_batch(field, 0.0, period, [x_star], cfg)
-    dprime = float(z[0]) - 1.0 if not esc[0] else math.nan
-    return x_star, dprime, (lo, hi)
+            hi, dp_hi = x, dprime
+    return 0.5 * (lo + hi), 0.5 * (dp_lo + dp_hi), (lo, hi)
 
 
 def count_cycles_in_V(
@@ -504,17 +535,17 @@ def count_cycles_in_V(
     grid_density: int = 400,
 ) -> CycleReport:
     """Scan every component of V's fiber at t=0, bracket the sign changes of
-    the displacement map, refine each bracket by bisection, and classify the
-    stability of each cycle by the sign of d'. The report keeps the sweep's
-    samples, so a caller that wants them need not sweep again."""
+    the displacement map, refine each bracket by safeguarded Newton, and
+    classify the stability of each cycle by the sign of d'. The report keeps
+    the sweep's samples, so a caller that wants them need not sweep again."""
+    region = classify_region(f).kind
     comps, heuristic, note = fiber_components(f)
     cycles: list[Cycle] = []
     sign_changes = 0
     swept: list[DisplacementSample] = []
     for label, eq, lo, hi in comps:
-        period = eq.period.value_float
         field = CubicField(eq, cfg.pole_guard)
-        samples = displacement_map(field, graded_grid(lo, hi, grid_density), cfg)
+        samples = displacement_map(field, component_grid(region, lo, hi, grid_density), cfg)
         swept.extend(samples)
         for s in samples:
             if s.d == 0.0:
@@ -528,14 +559,12 @@ def count_cycles_in_V(
                 continue
             if (left.d > 0) != (right.d > 0):
                 sign_changes += 1
-                x_star, dprime, bracket = _refine_bracket(
-                    field, period, left.x0, right.x0, left.d, cfg
-                )
+                x_star, dprime, bracket = _refine_bracket(field, left, right, cfg)
                 cycles.append(
                     Cycle(label, bracket, x_star, dprime, _classify(dprime))
                 )
     return CycleReport(
-        region=classify_region(f).kind.value,
+        region=region.value,
         cycles=tuple(cycles),
         components=tuple(label for label, _, _, _ in comps),
         sign_changes=sign_changes,
@@ -600,15 +629,15 @@ def stability_integral(f: FactoredAbel, eta: float = 0.0, panels: int = 4096) ->
     period; in the two-component region its sign matches the measured
     stability of the cycle riding the a1 curve."""
     period = f.period.value_float
+    a1_prime = f.a1.derivative()
 
     def value(theta: float) -> float:
-        c, s = math.cos(theta), math.sin(theta)
         a1v = f.a1.evaluate_float(theta)
         b2n = f.b2.num.evaluate_float(theta)
         b2d = f.b2.den.evaluate_float(theta)
         a2n = f.a2.num.evaluate_float(theta)
         a2d = f.a2.den.evaluate_float(theta)
-        da1 = f.a1.derivative().evaluate_float(theta)
+        da1 = a1_prime.evaluate_float(theta)
         return a1v * b2n / b2d - a2n / a2d + eta * da1 / a1v
 
     total = 0.0

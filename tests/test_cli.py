@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from abelcycles import oracle
-from abelcycles.abel import FactoredAbel
+from abelcycles.abel import FactoredAbel, classify_region
 from abelcycles.cli import main
 from abelcycles.criteria import Witness, witness_sign
 from abelcycles.gallery import (
@@ -16,7 +16,7 @@ from abelcycles.gallery import (
     example1_input,
     example2_input,
 )
-from abelcycles.oracle import displacement_map, fiber_components, graded_grid
+from abelcycles.oracle import component_grid, displacement_map, fiber_components
 from abelcycles.serialize import SchemaError, detect_schema, dumps, parse_input
 from abelcycles.trig import TrigPoly, TrigRational
 
@@ -324,10 +324,11 @@ class TestOracle:
         with open(tmp_path / "report.csv") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["x0", "d", "dprime", "escaped"]
+        region = classify_region(f).kind
         expected = [
             [repr(s.x0), repr(s.d), repr(s.dprime), str(int(s.escaped))]
             for _, eq, lo, hi in fiber_components(f)[0]
-            for s in displacement_map(eq, graded_grid(lo, hi, 60))
+            for s in displacement_map(eq, component_grid(region, lo, hi, 60))
         ]
         assert len(expected) == 60 * len(report["components"])
         assert rows[1:] == expected

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from abelcycles import oracle
 from abelcycles.abel import AbelEquation, FactoredAbel, RegionKind, classify_region
 from abelcycles.oracle import (
+    BISECTION_WIDTH,
     BLOWUP_REASON,
     CubicField,
     DisplacementSample,
     IntegratorConfig,
+    component_grid,
     count_cycles_in_V,
     displacement_map,
     graded_grid,
@@ -38,6 +40,15 @@ EX1 = FactoredAbel.from_parts(EX1_A1, EX1_A2, EX1_B2)
 def constants(a1c, a2c, b2c) -> FactoredAbel:
     return FactoredAbel.from_parts(
         TrigPoly.constant(a1c), TrigRational.constant(a2c), TrigRational.constant(b2c)
+    )
+
+
+def near_constant(e, d) -> FactoredAbel:
+    """a1 = 1, a2 = 3/2 + e sin t, b2 = 1 + d cos t: one cycle near x = 2/3."""
+    return FactoredAbel.from_parts(
+        TrigPoly.constant(1),
+        TrigRational.from_poly(TrigPoly.constant(Fraction(3, 2)) + TrigPoly.sinwave(1, e)),
+        TrigRational.from_poly(TrigPoly.constant(1) + TrigPoly.coswave(1, d)),
     )
 
 
@@ -135,6 +146,28 @@ class TestGradedGrid:
         assert gaps[-1] < gaps[len(gaps) // 2]
 
 
+class TestComponentGrid:
+    def test_cut_off_components_are_geometric_from_the_finite_end(self):
+        m = 20
+        for lo, hi, end in ((-1000.0, 0.0, 0.0), (1.0, 1001.0, 1.0)):
+            grid = component_grid(RegionKind.A1_NEGATIVE, lo, hi, m)
+            assert len(grid) == m
+            assert grid == sorted(grid)
+            assert all(lo < x < hi for x in grid)
+            gaps = sorted(abs(x - end) for x in grid)
+            for k, gap in enumerate(gaps, start=1):
+                assert gap == pytest.approx(1000.0 ** (k / (m + 1)) - 1.0, rel=1e-12)
+        # the first point of (1, 1001) is within 0.4 of y = 1, where
+        # graded_grid puts it near 7.6
+        assert component_grid(RegionKind.A1_NEGATIVE, 1.0, 1001.0, m)[0] < 1.4
+        assert graded_grid(1.0, 1001.0, m)[0] > 7.5
+
+    def test_other_components_keep_the_graded_grid(self):
+        for region in (RegionKind.A1_POSITIVE, RegionKind.A1_SIGN_CHANGING):
+            for lo, hi in ((0.0, 0.5), (0.0, oracle.UNBOUNDED_FIBER_CUTOFF)):
+                assert component_grid(region, lo, hi, 17) == graded_grid(lo, hi, 17)
+
+
 class TestCycleCounting:
     def test_one_cycle_between_the_invariant_curves(self):
         # x' = x (2x - 1)(x - 1): interior equilibrium 1/2 is a cycle
@@ -161,6 +194,17 @@ class TestCycleCounting:
         assert abs(cycle.x_star - (-1.0)) < 1e-8
         assert cycle.stability == "Stable"
         assert len(rep.components) == 2
+
+    def test_finds_the_cycle_next_to_the_finite_end_of_a_cut_off_component(self):
+        # (a1, a2, b2) = (-2, 1, -2) keeps the stable cycle x = -2, which is
+        # y = a1 x = 4 in the chart, 3 from the finite end of (1, 1001)
+        rep = count_cycles_in_V(constants(-2, 1, -2), CFG, grid_density=20)
+        assert rep.region == "A1Negative"
+        assert rep.count == 1
+        cycle = rep.cycles[0]
+        assert cycle.component == "y>1 (x<1/a1)"
+        assert abs(cycle.x_star - 4.0) < 1e-8
+        assert cycle.stability == "Stable"
 
     def test_cherkas_pipeline_runs_in_rho_coordinates(self):
         sys2 = HomogeneousSystem.of(1, 3, {(3, 0): 1, (2, 1): -1}, {(0, 3): -1})
@@ -198,6 +242,166 @@ class TestCycleCounting:
         assert data["region"] == "A1Positive"
         assert data["cycles"][0]["stability"] == "Stable"
         assert data["cycles"][0]["bracket"][0] <= data["cycles"][0]["x_star"]
+
+
+def bisection_reference(field, left, right, cfg):
+    """Bisection to BISECTION_WIDTH, then one more solve at the midpoint for
+    d': how brackets were refined before safeguarded Newton. Returns x*, d',
+    the bracket and the number of solves."""
+    lo, hi, d_lo = left.x0, right.x0, left.d
+    solves = 0
+    while hi - lo > BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        x, z, esc, _ = oracle._integrate_batch(field, 0.0, field.period, [mid], cfg)
+        solves += 1
+        if esc[0]:
+            break
+        d_mid = float(x[0]) - mid
+        if d_mid == 0.0:
+            lo = hi = mid
+            break
+        if (d_mid > 0) == (d_lo > 0):
+            lo, d_lo = mid, d_mid
+        else:
+            hi = mid
+    x_star = 0.5 * (lo + hi)
+    x, z, esc, _ = oracle._integrate_batch(field, 0.0, field.period, [x_star], cfg)
+    solves += 1
+    dprime = float(z[0]) - 1.0 if not esc[0] else math.nan
+    return x_star, dprime, (lo, hi), solves
+
+
+REFINE_CASES = {
+    "constant-one-component": (constants(1, 2, 1), 100),
+    "constant-two-component": (constants(-1, 1, 1), 120),
+    "constant-cut-off": (constants(-2, 1, -2), 20),
+    **{
+        f"near-constant-{n}": (near_constant(Fraction(*e), Fraction(*d)), 10)
+        for n, (e, d) in enumerate(
+            (((1, 8), (-1, 8)), ((-1, 4), (1, 4)), ((1, 4), (1, 8)), ((-1, 8), (-1, 4)))
+        )
+    },
+}
+
+
+@pytest.fixture(scope="module", params=list(REFINE_CASES), ids=list(REFINE_CASES))
+def refined(request):
+    """Per bracket of the instance's sweep: the field, the refined cycle and
+    the solves it took, and the bisection reference."""
+    f, grid = REFINE_CASES[request.param]
+    region = classify_region(f).kind
+    solve = oracle._integrate_batch
+    out = []
+    for _, eq, lo, hi in oracle.fiber_components(f)[0]:
+        field = CubicField(eq, CFG.pole_guard)
+        samples = displacement_map(field, component_grid(region, lo, hi, grid), CFG)
+        for left, right in zip(samples, samples[1:]):
+            if left.escaped or right.escaped or (left.d > 0) == (right.d > 0):
+                continue
+            calls = []
+
+            def counting(*args):
+                calls.append(args)
+                return solve(*args)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "_integrate_batch", counting)
+                result = oracle._refine_bracket(field, left, right, CFG)
+            out.append((field, result, len(calls), bisection_reference(field, left, right, CFG)))
+    assert out
+    return out
+
+
+class TestRefinement:
+    def test_bracket_contract(self, refined):
+        for field, (x_star, dprime, (lo, hi)), _, (ref_x, ref_dprime, _, _) in refined:
+            assert 0.0 <= hi - lo <= BISECTION_WIDTH
+            # one solve per end, as the refinement solves: a batch of two
+            # shares its steps and rounds d differently
+            d_lo, d_hi = (displacement_map(field, [x], CFG)[0].d for x in (lo, hi))
+            if lo == hi:
+                assert d_lo == 0.0
+            else:
+                assert (d_lo > 0) != (d_hi > 0) and d_lo != 0.0 and d_hi != 0.0
+            assert x_star == 0.5 * (lo + hi)
+            assert abs(x_star - ref_x) <= 1e-10
+            assert oracle._classify(dprime) == oracle._classify(ref_dprime)
+
+    def test_solve_count(self, refined):
+        for _, _, solves, (_, _, _, ref_solves) in refined:
+            assert solves <= 6
+            assert solves <= ref_solves
+
+    @pytest.mark.parametrize("left, right", [(1.0, 2.0), (1.41, 1.42), (0.1, 10.0)])
+    def test_exact_displacement(self, left, right, monkeypatch):
+        # d = x^2 - 2 without integration error; from (0.1, 10) the first
+        # Newton step leaves the bracket, so the next point is the midpoint
+        solves = []
+
+        def solve(field, t0, t1, x0, cfg):
+            x = x0[0]
+            solves.append(x)
+            return np.array([x + (x * x - 2.0)]), np.array([1.0 + 2.0 * x]), np.array([False]), [""]
+
+        def sample(x):
+            return DisplacementSample(x, x * x - 2.0, 2.0 * x, False)
+
+        monkeypatch.setattr(oracle, "_integrate_batch", solve)
+        field = CubicField(linear_equation(), CFG.pole_guard)
+        x_star, dprime, (lo, hi) = oracle._refine_bracket(field, sample(left), sample(right), CFG)
+        assert 0.0 < hi - lo <= BISECTION_WIDTH
+        assert lo * lo - 2.0 < 0.0 < hi * hi - 2.0
+        assert x_star == 0.5 * (lo + hi)
+        assert abs(dprime - 2.0 * math.sqrt(2.0)) < 1e-9
+        assert len(solves) <= 8
+        if left == 0.1:
+            assert solves[0] == 0.5 * (left + right)
+
+
+def assert_sweep_invariants(eq, grid: list[float]):
+    field = CubicField(eq, CFG.pole_guard)
+    u, z, escaped, _ = oracle._integrate_batch(field, 0.0, field.period, grid, CFG)
+    bounded = ~escaped
+    assert (z[bounded] > 0.0).all()
+    assert (np.diff(u[bounded]) >= 0.0).all()
+    flags, k = escaped.tolist(), int(escaped.sum())
+    assert flags in ([True] * k + [False] * (len(grid) - k),
+                     [False] * (len(grid) - k) + [True] * k)
+
+
+def gate6_draws(n: int) -> list[FactoredAbel]:
+    rng = random.Random(6)
+    return [random_instance(rng) for _ in range(n)]
+
+
+class TestSweepInvariants:
+    """u(T, .) is increasing where it is defined (comparison principle), so
+    per component z = du(T)/dx0 > 0, u(T, .) does not decrease along the
+    grid, and the escaping samples are an end segment. The checks read u(T)
+    and z from the sweep's batch: d' = z - 1 is exactly -1 once z <= 2^-54
+    (draw 20 of gate 6's generator gets there at grid 20), and x0 + d
+    rounds again."""
+
+    CONSTANTS = ((1, 2, 1), (1, -1, 1), (-1, 1, 1), (-2, 1, -2), (-2, -1, 0))
+
+    @pytest.mark.parametrize(
+        "f, grid",
+        [(constants(*c), 40) for c in CONSTANTS]
+        # the first 24 draws of gate 6's generator, certified or not
+        + [(f, 10) for f in gate6_draws(24)],
+        ids=[f"constants{c}" for c in CONSTANTS] + [f"gate6-draw{n}" for n in range(24)],
+    )
+    def test_per_component(self, f, grid):
+        region = classify_region(f).kind
+        for _, eq, lo, hi in oracle.fiber_components(f)[0]:
+            assert_sweep_invariants(eq, component_grid(region, lo, hi, grid))
+
+    def test_gallery1_bounded_start(self):
+        # the start of gallery 1's cut-off fiber: bounded, then escaping
+        grid = graded_grid(0.0, 0.01, 20)
+        assert_sweep_invariants(EX1, grid)
+        samples = displacement_map(EX1, grid, CFG)
+        assert not samples[0].escaped and samples[-1].escaped
 
 
 MONOMIALS = [(i, j) for i in range(5) for j in range(5 - i)]
@@ -418,7 +622,37 @@ class TestInvariance:
             verify_invariance(EX1, "a1", CFG, theta_range=(0.0, 1.0))
 
 
+def stability_integral_reference(f: FactoredAbel, eta: float = 0.0, panels: int = 4096) -> float:
+    """stability_integral as it was written with a1' rebuilt at every panel."""
+    period = f.period.value_float
+
+    def value(theta: float) -> float:
+        a1v = f.a1.evaluate_float(theta)
+        b2n = f.b2.num.evaluate_float(theta)
+        b2d = f.b2.den.evaluate_float(theta)
+        a2n = f.a2.num.evaluate_float(theta)
+        a2d = f.a2.den.evaluate_float(theta)
+        da1 = f.a1.derivative().evaluate_float(theta)
+        return a1v * b2n / b2d - a2n / a2d + eta * da1 / a1v
+
+    total = 0.0
+    h = period / panels
+    for k in range(panels):
+        total += value((k + 0.5) * h) * h
+    return math.exp(total) - 1.0
+
+
 class TestStabilityIntegral:
+    def test_bitwise_equal_to_the_per_panel_derivative(self):
+        a1 = TrigPoly.constant(2) + TrigPoly.coswave(1, 1)
+        wavy = FactoredAbel.from_parts(
+            a1,
+            TrigRational.from_poly(TrigPoly.sinwave(1, 1)),
+            TrigRational(TrigPoly.constant(1), TrigPoly.constant(3) + TrigPoly.sinwave(2, 1)),
+        )
+        for f, eta in ((constants(-1, 1, 1), 0.0), (wavy, 0.0), (wavy, 0.5), (wavy, -1.0)):
+            assert stability_integral(f, eta) == stability_integral_reference(f, eta)
+
     def test_sign_matches_measured_a1_curve_stability(self):
         f = constants(-1, 1, 1)
         predicted = stability_integral(f)
