@@ -3,8 +3,13 @@
 The corpus holds one input of each schema: gallery case 1 (planar), gallery
 case 2 (homogeneous, with the obstruction report), a cubic-coefficient
 equation, and a factored equation whose witnesses fall in all four charts
-('half', 'tan', 'tan2' and an exact 'point'). Each input pins what `check`
-and `transform` print, and the two gallery reproductions are pinned too. An
+('half', 'tan', 'tan2' and an exact 'point'). Small constant and homogeneous
+inputs pin the branches of the factored and planar sign criteria that these
+miss: a Holds in each A1Negative region note (`a1neg-*`), a NegativeBranch
+Holds, a Fails of the whole-circle requirement, the neutral-curve and the
+equality-only Inapplicable, and the planar whole-circle Fails and neutral
+Inapplicable (`planar-*`). Each input pins what `check` and `transform`
+print, and the two gallery reproductions are pinned too. An
 expected file changes only with an intended output change; regenerate it with
 
     abel-cycles check --input tests/golden/NAME.json > tests/golden/NAME.out
