@@ -25,6 +25,7 @@ from .abel import (
 from .criteria import (
     CriterionVerdict,
     Outcome,
+    best_over_etas,
     check_at_most_one,
     check_definite_a2,
     check_no_cycle,
@@ -108,22 +109,6 @@ def _eta_pool(f: FactoredAbel, override: Optional[Fraction]) -> list[Fraction]:
     return eta_candidates(f)
 
 
-def _best_over_etas(runner, f: FactoredAbel, etas: Sequence[Fraction]) -> CriterionVerdict:
-    """First Holds wins; otherwise prefer a certified failure over an
-    inapplicable shrug."""
-    fallback: Optional[CriterionVerdict] = None
-    for eta in etas:
-        v = runner(f, eta)
-        if v.outcome is Outcome.HOLDS:
-            return v
-        if fallback is None or (
-            v.outcome is Outcome.FAILS and fallback.outcome is not Outcome.FAILS
-        ):
-            fallback = v
-    assert fallback is not None
-    return fallback
-
-
 def _run_criteria(
     parsed: ParsedInput, cfg: RunConfig
 ) -> tuple[list[CriterionVerdict], Optional[dict], dict]:
@@ -163,9 +148,9 @@ def _factored_verdicts(
     etas = _eta_pool(f, cfg.eta)
     out = []
     if "no_cycle" in wanted:
-        out.append(_best_over_etas(check_no_cycle, f, etas))
+        out.append(best_over_etas(check_no_cycle, f, etas))
     if "at_most_one" in wanted:
-        out.append(_best_over_etas(check_at_most_one, f, etas))
+        out.append(best_over_etas(check_at_most_one, f, etas))
     if "definite_a2" in wanted:
         out.append(check_definite_a2(f))
     if "normalized_bound" in wanted:

@@ -16,7 +16,9 @@ Checkers:
 * obstruction_report: five certificates that no sign-combination argument of
   the normalized family applies to a given homogeneous system;
 * eta_candidates: rational multipliers that cancel the odd-order poles of
-  b2 + eta a1'/a1.
+  b2 + eta a1'/a1;
+* best_over_etas: one factored check over a list of multipliers, first
+  Holds wins.
 
 Verdict vocabulary: outcome Holds/Fails/Inapplicable, bound NoNontrivialCycle
 or AtMostOne, branch PositiveBranch/NegativeBranch. Fails verdicts carry
@@ -25,10 +27,10 @@ witnesses whose violated signs can be re-evaluated exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .abel import (
     FactoredAbel,
@@ -604,7 +606,7 @@ def _factored_criterion(f: FactoredAbel, eta: Fraction, cid: str) -> CriterionVe
     branches = []
     if hrep.sign.is_nonnegative:
         branches.append(Branch.POSITIVE)
-    if hrep.sign.is_nonpositive and Branch.NEGATIVE not in branches:
+    if hrep.sign.is_nonpositive:
         branches.append(Branch.NEGATIVE)
     if not branches:
         return CriterionVerdict(
@@ -616,29 +618,86 @@ def _factored_criterion(f: FactoredAbel, eta: Fraction, cid: str) -> CriterionVe
             ),
             notes="the combination b2 + eta a1'/a1 is not sign definite",
         )
-
     region = classify_region(f)
-    # With a1 < 0 on the whole circle, V has a second component below the
-    # invariant curve x = 1/a1.  Excluding cycles there rides on the curve
-    # itself being a hyperbolic cycle, whose multiplier exponent is
-    # int (a1 b2 - a2 + eta a1') * (-1/a1) dt: the second condition must then
-    # hold on the whole circle (its a1 > 0 premise is empty) and strictly
-    # somewhere, else the exclusion argument has no teeth.
-    two_sided = cid == "no_cycle" and region.kind is RegionKind.A1_NEGATIVE
-    combo = _condition_two(f, eta)
+    violated = "a sign condition is violated at the listed witnesses"
+    return _sign_conditions(
+        cid,
+        bound,
+        branches,
+        (f.a1, f.a2, _condition_two(f, eta)),
+        ("a1", "a2", "a1 b2 - a2 + eta a1'"),
+        cid == "no_cycle" and region.kind is RegionKind.A1_NEGATIVE,
+        eta,
+        _Notes(
+            holds=_region_notes(region.kind, cid),
+            violated=violated,
+            not_global=violated,
+            neutral=(
+                "a1 < 0 on the whole circle and a1 b2 - a2 + eta a1' is "
+                "identically zero, so the invariant curve x = 1/a1 is a "
+                "neutral cycle and cannot repel its component of V"
+            ),
+            equality_only=(
+                "the sign conditions never hold strictly on an interval, so "
+                "the positive-measure strictness requirement cannot be met"
+            ),
+        ),
+    )
+
+
+class _Notes(NamedTuple):
+    """The notes of each verdict that _sign_conditions can reach."""
+
+    holds: str
+    violated: str  # an implication fails
+    not_global: str  # the whole-circle requirement fails on some branch
+    neutral: str
+    equality_only: str
+
+
+def _sign_conditions(
+    cid: str,
+    bound: Bound,
+    branches: Sequence[Branch],
+    functions: tuple[TrigPoly, TrigLike, TrigLike],
+    names: tuple[str, str, str],
+    two_sided: bool,
+    eta: Fraction,
+    notes: _Notes,
+) -> CriterionVerdict:
+    """The sign conditions of the paper's criterion, on functions (p, f1, f2)
+    labelled by names in every witness and strictness condition.
+
+    On a branch of sign sigma, p < 0 must imply f1 of sign -sigma (no cycle)
+    or sigma (at most one), p > 0 must imply f2 of sign sigma, and one of the
+    two must hold strictly on an interval. The factored criterion passes
+    (a1, a2, a1 b2 - a2 + eta a1'). The planar one passes (psi, a psi - phi,
+    phi): at eta = -1 the factored triple of the system's Cherkas transform
+    is n - 1 times this one.
+
+    two_sided: with p < 0 on the whole circle, V has a second component
+    below the invariant curve x = 1/p. Excluding cycles there rides on the
+    curve itself being a hyperbolic cycle, whose multiplier exponent is
+    int f2 * (-1/p) dt: f2 must then keep its sign on the whole circle (its
+    p > 0 premise is empty) and hold it strictly somewhere, else the
+    exclusion argument has no teeth.
+    """
+    p, f1, f2 = functions
+    pn, f1n, f2n = names
     fail_witnesses: list[Witness] = []
+    fail_note = notes.violated
     equality_only = False
     curve_neutral = False
     for branch in branches:
         sigma = 1 if branch is Branch.POSITIVE else -1
-        dir_i = -sigma if cid == "no_cycle" else sigma
+        dir_i = -sigma if bound is Bound.NO_CYCLE else sigma
         cmp_i = "<= 0" if dir_i < 0 else ">= 0"
-        ok_i, w_i = circle_implication(
-            f.a1, -1, f.a2, dir_i, f"a1 < 0 implies a2 {cmp_i}"
-        )
         cmp_ii = ">= 0" if sigma > 0 else "<= 0"
+        ok_i, w_i = circle_implication(
+            p, -1, f1, dir_i, f"{pn} < 0 implies {f1n} {cmp_i}"
+        )
         ok_ii, w_ii = circle_implication(
-            f.a1, 1, combo, sigma, f"a1 > 0 implies a1 b2 - a2 + eta a1' {cmp_ii}"
+            p, 1, f2, sigma, f"{pn} > 0 implies {f2n} {cmp_ii}"
         )
         if not (ok_i and ok_ii):
             fail_witnesses.extend(w for w in (w_i, w_ii) if w is not None)
@@ -647,30 +706,27 @@ def _factored_criterion(f: FactoredAbel, eta: Fraction, cid: str) -> CriterionVe
             ok_g, w_g = circle_implication(
                 TrigPoly.constant(1),
                 1,
-                combo,
+                f2,
                 sigma,
-                f"a1 < 0 everywhere requires a1 b2 - a2 + eta a1' {cmp_ii} "
-                "on the whole circle",
+                f"{pn} < 0 everywhere requires {f2n} {cmp_ii} on the whole circle",
             )
             if not ok_g:
-                if w_g is not None:
-                    fail_witnesses.append(w_g)
+                fail_witnesses.append(w_g)
+                fail_note = notes.not_global
                 continue
-            curve_ev = circle_strict_interval(
-                [(combo, sigma)],
-                f"a1 b2 - a2 + eta a1' {'>' if sigma > 0 else '<'} 0 strictly",
-            )
-            if curve_ev is None:
+            if circle_strict_interval(
+                [(f2, sigma)], f"{f2n} {'>' if sigma > 0 else '<'} 0 strictly"
+            ) is None:
                 curve_neutral = True
                 continue
         ev = circle_strict_interval(
-            [(f.a1, -1), (f.a2, dir_i)],
-            f"a1 < 0 and a2 {'<' if dir_i < 0 else '>'} 0 strictly",
+            [(p, -1), (f1, dir_i)],
+            f"{pn} < 0 and {f1n} {'<' if dir_i < 0 else '>'} 0 strictly",
         )
         if ev is None:
             ev = circle_strict_interval(
-                [(f.a1, 1), (combo, sigma)],
-                f"a1 > 0 and a1 b2 - a2 + eta a1' {'>' if sigma > 0 else '<'} 0 strictly",
+                [(p, 1), (f2, sigma)],
+                f"{pn} > 0 and {f2n} {'>' if sigma > 0 else '<'} 0 strictly",
             )
         if ev is None:
             equality_only = True
@@ -682,7 +738,7 @@ def _factored_criterion(f: FactoredAbel, eta: Fraction, cid: str) -> CriterionVe
             branch=branch,
             eta=eta,
             strictness=ev,
-            notes=_region_notes(region.kind, cid),
+            notes=notes.holds,
         )
     if fail_witnesses:
         return CriterionVerdict(
@@ -690,28 +746,13 @@ def _factored_criterion(f: FactoredAbel, eta: Fraction, cid: str) -> CriterionVe
             Outcome.FAILS,
             eta=eta,
             witnesses=tuple(fail_witnesses),
-            notes="a sign condition is violated at the listed witnesses",
+            notes=fail_note,
         )
     if curve_neutral:
-        return CriterionVerdict(
-            cid,
-            Outcome.INAPPLICABLE,
-            eta=eta,
-            notes=(
-                "a1 < 0 on the whole circle and a1 b2 - a2 + eta a1' is "
-                "identically zero, so the invariant curve x = 1/a1 is a "
-                "neutral cycle and cannot repel its component of V"
-            ),
-        )
+        return CriterionVerdict(cid, Outcome.INAPPLICABLE, eta=eta, notes=notes.neutral)
     if equality_only:
         return CriterionVerdict(
-            cid,
-            Outcome.INAPPLICABLE,
-            eta=eta,
-            notes=(
-                "the sign conditions never hold strictly on an interval, so "
-                "the positive-measure strictness requirement cannot be met"
-            ),
+            cid, Outcome.INAPPLICABLE, eta=eta, notes=notes.equality_only
         )
     raise AssertionError("unreachable: some branch must conclude")
 
@@ -915,86 +956,32 @@ def _planar_criterion(sys: HomogeneousSystem, cid: str) -> CriterionVerdict:
                 "Riccati with at most one non-null cycle"
             ),
         )
-    sigma = 1 if sys.a > 0 else -1
-    branch = Branch.POSITIVE if sigma > 0 else Branch.NEGATIVE
-    dir_i = -sigma if cid == "planar_no_cycle" else sigma
-    cmp_i = "<= 0" if dir_i < 0 else ">= 0"
-    ok_i, w_i = circle_implication(
-        psi, -1, omega, dir_i, f"psi < 0 implies a psi - phi {cmp_i}"
-    )
-    cmp_ii = ">= 0" if sigma > 0 else "<= 0"
-    ok_ii, w_ii = circle_implication(psi, 1, phi, sigma, f"psi > 0 implies phi {cmp_ii}")
-    if not (ok_i and ok_ii):
-        return CriterionVerdict(
-            cid,
-            Outcome.FAILS,
-            eta=Fraction(-1),
-            witnesses=tuple(w for w in (w_i, w_ii) if w is not None),
-            notes=f"a sign condition is violated (branch forced by a = {sys.a})",
-        )
-    if (
-        cid == "planar_no_cycle"
-        and definite_sign_report(psi).sign is SignOnSet.STRICTLY_NEGATIVE
-    ):
-        # psi < 0 on the whole circle: the transformed picture has a second
-        # component below the curve psi*rho = 1, reached by orbits with
-        # 1 + psi r^(n-1) < 0.  Excluding cycles there needs that curve to be
-        # a hyperbolic cycle, i.e. phi one-signed on the whole circle (its
-        # psi > 0 premise is empty) and not identically zero.
-        ok_g, w_g = circle_implication(
-            TrigPoly.constant(1),
-            1,
-            phi,
-            sigma,
-            f"psi < 0 everywhere requires phi {cmp_ii} on the whole circle",
-        )
-        if not ok_g:
-            return CriterionVerdict(
-                cid,
-                Outcome.FAILS,
-                eta=Fraction(-1),
-                witnesses=(w_g,) if w_g is not None else (),
-                notes=(
-                    "psi < 0 on the whole circle, so phi must keep one sign "
-                    f"everywhere (branch forced by a = {sys.a})"
-                ),
-            )
-        if circle_strict_interval(
-            [(phi, sigma)], f"phi {'>' if sigma > 0 else '<'} 0 strictly"
-        ) is None:
-            return CriterionVerdict(
-                cid,
-                Outcome.INAPPLICABLE,
-                notes=(
-                    "psi < 0 on the whole circle and phi is identically "
-                    "zero, so the curve psi*rho = 1 is a neutral cycle and "
-                    "cannot repel its component"
-                ),
-            )
-    ev = circle_strict_interval(
-        [(psi, -1), (omega, dir_i)],
-        f"psi < 0 and a psi - phi {'<' if dir_i < 0 else '>'} 0 strictly",
-    )
-    if ev is None:
-        ev = circle_strict_interval(
-            [(psi, 1), (phi, sigma)],
-            f"psi > 0 and phi {'>' if sigma > 0 else '<'} 0 strictly",
-        )
-    if ev is None:
-        return CriterionVerdict(
-            cid,
-            Outcome.INAPPLICABLE,
-            notes="the sign conditions never hold strictly on an interval",
-        )
-    return CriterionVerdict(
+    forced = f"branch forced by a = {sys.a}"
+    v = _sign_conditions(
         cid,
-        Outcome.HOLDS,
-        bound=bound,
-        branch=branch,
-        eta=Fraction(-1),
-        strictness=ev,
-        notes=f"branch fixed by the sign of a = {sys.a}",
+        bound,
+        [Branch.POSITIVE if sys.a > 0 else Branch.NEGATIVE],
+        (psi, omega, phi),
+        ("psi", "a psi - phi", "phi"),
+        cid == "planar_no_cycle"
+        and definite_sign_report(psi).sign is SignOnSet.STRICTLY_NEGATIVE,
+        Fraction(-1),
+        _Notes(
+            holds=f"branch fixed by the sign of a = {sys.a}",
+            violated=f"a sign condition is violated ({forced})",
+            not_global=(
+                f"psi < 0 on the whole circle, so phi must keep one sign "
+                f"everywhere ({forced})"
+            ),
+            neutral=(
+                "psi < 0 on the whole circle and phi is identically "
+                "zero, so the curve psi*rho = 1 is a neutral cycle and "
+                "cannot repel its component"
+            ),
+            equality_only="the sign conditions never hold strictly on an interval",
+        ),
     )
+    return replace(v, eta=None) if v.outcome is Outcome.INAPPLICABLE else v
 
 
 # --- obstruction certificates ------------------------------------------------
@@ -1189,6 +1176,28 @@ def eta_candidates(f: FactoredAbel) -> list[Fraction]:
             if not has_odd_order_pole(cancel_pole_combination(f.b2, f.a1, eta)):
                 found.add(eta)
     return sorted(found)
+
+
+def best_over_etas(
+    check: Callable[[FactoredAbel, Fraction], CriterionVerdict],
+    f: FactoredAbel,
+    etas: Sequence[Fraction],
+) -> CriterionVerdict:
+    """check(f, eta) over etas in order: the first Holds ends the search;
+    otherwise a certified failure is preferred over an inapplicable shrug,
+    the first of its kind winning."""
+    fallback: Optional[CriterionVerdict] = None
+    for eta in etas:
+        v = check(f, eta)
+        if v.outcome is Outcome.HOLDS:
+            return v
+        if fallback is None or (
+            v.outcome is Outcome.FAILS and fallback.outcome is not Outcome.FAILS
+        ):
+            fallback = v
+    if fallback is None:
+        raise ValueError("best_over_etas needs at least one eta")
+    return fallback
 
 
 def _pole_matching_eta(b2: TrigRational, log_deriv: TrigRational) -> Optional[Fraction]:

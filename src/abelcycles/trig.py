@@ -16,7 +16,7 @@ Both charts reduce circle questions to RationalPoly sign decisions. A
 CircleChart picks the chart for several functions at once and carries the
 circle points it misses exactly; each function builds its own chart
 polynomials once, on first use, and keeps them (`TrigPoly.chart`,
-`TrigRational.chart`).
+`TrigRational.chart`), and a TrigPoly keeps its sign report the same way.
 """
 
 from __future__ import annotations
@@ -237,6 +237,10 @@ class TrigPoly:
     def chart(self) -> "FunctionChart":
         return FunctionChart(self)
 
+    @cached_property
+    def _sign_report(self) -> "SignReport":
+        return _classify_signs(self)
+
     def to_json(self) -> list[dict]:
         return [
             {"i": i, "j": j, "c": f"{c.numerator}/{c.denominator}"}
@@ -400,9 +404,14 @@ class TrigRational:
 
     def sign_proxy(self) -> TrigPoly:
         """num*den of the reduced form: same sign as self wherever defined,
-        zero exactly at zeros and poles of self."""
-        r = self._reduced
-        return r.num * r.den
+        zero exactly at zeros and poles of self. The reduced form builds it
+        once and keeps it, and with it the proxy's chart and sign report."""
+        return self._reduced._proxy
+
+    @cached_property
+    def _proxy(self) -> TrigPoly:
+        # read only on a reduced form, through sign_proxy
+        return self.num * self.den
 
     def period(self) -> Period:
         pn, pd = self.num.parity(), self.den.parity()
@@ -603,7 +612,12 @@ def _flip_sign_set(s: SignOnSet) -> SignOnSet:
 
 
 def definite_sign_report(f: TrigPoly) -> SignReport:
-    """Exact sign classification of f over [0, 2pi] with witnesses."""
+    """Exact sign classification of f over [0, 2pi] with witnesses, made on
+    first use and kept on f."""
+    return f._sign_report
+
+
+def _classify_signs(f: TrigPoly) -> SignReport:
     if f.is_zero:
         return SignReport(SignOnSet.IDENTICALLY_ZERO)
     chart = CircleChart((f,))

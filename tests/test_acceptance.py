@@ -15,6 +15,7 @@ from abelcycles.abel import (
 from abelcycles.criteria import (
     Bound,
     Outcome,
+    best_over_etas,
     check_at_most_one,
     check_no_cycle,
     check_normalized,
@@ -334,13 +335,7 @@ def test_criterion_6_certified_bounds_respected_on_random_instances():
             found = 0
             while found < 20:
                 f = random_instance(rng)
-                verdict = None
-                for eta in eta_candidates(f):
-                    v = checker(f, eta)
-                    if v.outcome is Outcome.HOLDS:
-                        verdict = v
-                        break
-                if verdict is None:
+                if not best_over_etas(checker, f, eta_candidates(f)).holds:
                     continue
                 found += 1
                 rep = count_cycles_in_V(f, CFG, grid_density=80)

@@ -15,6 +15,7 @@ from abelcycles.criteria import (
     Outcome,
     StrictnessEvidence,
     Witness,
+    best_over_etas,
     check_at_most_one,
     check_definite_a2,
     check_no_cycle,
@@ -486,6 +487,47 @@ class TestEtaCandidates:
         assert F(-1) in cands
         h = cancel_pole_combination(f.b2, f.a1, F(-1))
         assert h.equals(TrigRational.constant((EX2_N - 1) * EX2_A))
+
+
+class TestBestOverEtas:
+    @staticmethod
+    def stub(outcomes):
+        """A check returning outcomes[eta], and the list of etas it was asked."""
+        asked = []
+
+        def check(f, eta):
+            asked.append(eta)
+            outcome = outcomes[eta]
+            bound = Bound.AT_MOST_ONE if outcome is Outcome.HOLDS else None
+            return CriterionVerdict("stub", outcome, bound=bound, eta=eta, notes="stub")
+
+        return check, asked
+
+    def test_first_holds_ends_the_search(self):
+        check, asked = self.stub(
+            {F(-1): Outcome.FAILS, F(0): Outcome.HOLDS, F(1): Outcome.HOLDS}
+        )
+        v = best_over_etas(check, EX1_FACTORED, [F(-1), F(0), F(1)])
+        assert v.outcome is Outcome.HOLDS and v.eta == F(0)
+        assert asked == [F(-1), F(0)]
+
+    def test_first_fails_beats_an_earlier_inapplicable(self):
+        check, asked = self.stub(
+            {F(-1): Outcome.INAPPLICABLE, F(0): Outcome.FAILS, F(1): Outcome.FAILS}
+        )
+        v = best_over_etas(check, EX1_FACTORED, [F(-1), F(0), F(1)])
+        assert v.outcome is Outcome.FAILS and v.eta == F(0)
+        assert asked == [F(-1), F(0), F(1)]
+
+    def test_otherwise_the_first_verdict(self):
+        check, _ = self.stub({F(-1): Outcome.INAPPLICABLE, F(0): Outcome.INAPPLICABLE})
+        v = best_over_etas(check, EX1_FACTORED, [F(-1), F(0)])
+        assert v.outcome is Outcome.INAPPLICABLE and v.eta == F(-1)
+
+    def test_no_eta_is_an_error(self):
+        check, _ = self.stub({})
+        with pytest.raises(ValueError):
+            best_over_etas(check, EX1_FACTORED, [])
 
 
 class TestFeasibilityEngine:

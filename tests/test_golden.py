@@ -7,9 +7,9 @@ equation, and a factored equation whose witnesses fall in all four charts
 inputs pin the branches of the factored and planar sign criteria that these
 miss: a Holds in each A1Negative region note (`a1neg-*`), a NegativeBranch
 Holds, a Fails of the whole-circle requirement, the neutral-curve and the
-equality-only Inapplicable, and the planar whole-circle Fails and neutral
-Inapplicable (`planar-*`). Each input pins what `check` and `transform`
-print, and the two gallery reproductions are pinned too. An
+equality-only Inapplicable, and the planar whole-circle Fails, neutral and
+equality-only Inapplicable (`planar-*`). Each input pins what `check` and
+`transform` print, and the two gallery reproductions are pinned too. An
 expected file changes only with an intended output change; regenerate it with
 
     abel-cycles check --input tests/golden/NAME.json > tests/golden/NAME.out

@@ -334,7 +334,11 @@ class TestReduceOnce:
         # the pair a fresh copy derives equals the one the reduced form carries
         assert TrigRational(r.num, r.den).half_angle_pair() == r.half_angle_pair()
         assert f.chart is r.chart
-        assert f.sign_proxy() == r.num * r.den
+        proxy = f.sign_proxy()
+        assert proxy == r.num * r.den
+        # one proxy per reduced form, so its chart and sign report are kept
+        assert f.sign_proxy() is proxy and r.sign_proxy() is proxy
+        assert definite_sign_report(f.sign_proxy()) is definite_sign_report(proxy)
 
     @pytest.mark.parametrize("f", GALLERY_RATIONALS)
     def test_pole_tests_match_the_rechart_derivation(self, f):
