@@ -26,15 +26,19 @@ def constant_instance(a1, a2, b2) -> FactoredAbel:
     )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=120)
     parser.add_argument(
         "--values",
         default="-2,-1,1,2",
-        help="comma-separated rational values scanned for each coefficient",
+        help=(
+            "comma-separated rational values scanned for each coefficient; "
+            "a list that starts with a negative value takes the = form, "
+            "as in --values=-2,1"
+        ),
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     values = [Fraction(v) for v in args.values.split(",")]
     cfg = IntegratorConfig()
 

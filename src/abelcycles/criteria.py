@@ -335,7 +335,7 @@ def _root_obstructions(
             if inside == 0:
                 break
             lo, hi = refine_interval(pb, (lo, hi), (hi - lo) / 4)
-        if pa.evaluate((lo + hi) / 2) < 0:
+        if pa.sign((lo + hi) / 2) < 0:
             out.append((lo, hi))
     return out
 

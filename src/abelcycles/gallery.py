@@ -222,14 +222,14 @@ def _reproduce_example1() -> ReproduceReport:
         _line(
             "the a2 chart has exactly the roots 0, 1, 2",
             count_distinct_roots(p2) == 3
-            and all(p2.evaluate(F(r)) == 0 for r in (0, 1, 2)),
+            and all(p2.sign(r) == 0 for r in (0, 1, 2)),
         )
     )
     p3 = EXAMPLE1_CHART_COND2
     lines.append(
         _line(
             "the mixed-condition chart has 0 as its only real root",
-            count_distinct_roots(p3) == 1 and p3.evaluate(F(0)) == 0,
+            count_distinct_roots(p3) == 1 and p3.sign(0) == 0,
         )
     )
     v = check_at_most_one(f, EXAMPLE1_ETA)
@@ -275,8 +275,8 @@ def _reproduce_example2() -> ReproduceReport:
         _line(
             "a psi - phi stays nonpositive on the chart interval [0, 1]",
             count_distinct_roots(r, F(0), F(1)) == 0
-            and r.evaluate(F(0)) < 0
-            and r.evaluate(F(1)) < 0,
+            and r.sign(0) < 0
+            and r.sign(1) < 0,
         )
     )
     v = check_planar_no_cycle(sys2)

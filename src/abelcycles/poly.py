@@ -3,6 +3,9 @@
 Everything in this module is float-free: coefficients are fractions.Fraction,
 root counting goes through Sturm chains, and sign questions over the real line
 are answered by isolating roots and sampling each cell at a rational point.
+Signs are read over the integers: each polynomial keeps its integer-primitive
+multiple, a sign at a/b is that of the homogeneous form at (a, b), and Sturm
+chains and gcds are built from integer pseudo-remainders.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -186,8 +190,9 @@ class RationalPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
@@ -228,24 +233,37 @@ class RationalPoly:
             acc = acc * x + c
         return acc
 
+    def sign(self, x) -> int:
+        """Exact sign of self at a rational x (an int or a Fraction).
+
+        With x = a/b and b > 0 this is the sign of b^deg * L * self(a/b),
+        L > 0 the factor behind `_ints`, taken by homogeneous Horner over
+        the integers."""
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self._ints):
+            acc = acc * a + c * scale
+            scale *= b
+        return (acc > 0) - (acc < 0)
+
     def evaluate_float(self, x: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
         return acc
 
+    @cached_property
+    def _ints(self) -> tuple[int, ...]:
+        """Coefficients of the integer-primitive positive multiple of self,
+        made on first use and kept."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return _primitive([c.numerator * (den // c.denominator) for c in self.coeffs])
+
     def primitive(self) -> "RationalPoly":
         """Integer-primitive positive multiple of self (content divided out)."""
         if self.is_zero:
             return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        return RationalPoly(tuple(Fraction(v // g) for v in ints))
+        return _from_ints(self._ints)
 
     def monic(self) -> "RationalPoly":
         if self.is_zero:
@@ -253,13 +271,11 @@ class RationalPoly:
         return self.scale(1 / self.leading)
 
     def gcd(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod(b)
-            a, b = b, r.primitive() if not r.is_zero else r
-        if a.is_zero:
-            return a
-        return a.monic()
+        """Monic gcd, by the primitive remainder sequence over the integers."""
+        a, b = self._ints, other._ints
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        return _from_ints(a).monic()
 
     def squarefree_part(self) -> "RationalPoly":
         if self.degree <= 0:
@@ -327,8 +343,40 @@ class RationalPoly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _primitive(vs: Sequence[int]) -> tuple[int, ...]:
+    """vs divided by its content."""
+    g = math.gcd(*vs)
+    return tuple(v // g for v in vs) if g > 1 else tuple(vs)
+
+
+def _from_ints(vs: Sequence[int]) -> RationalPoly:
+    return RationalPoly(tuple(Fraction(v) for v in vs))
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive integer multiple of rem(a, b) over Q, b nonzero.
+
+    Each step cancels the leading term of r by |lc(b)| * r - sgn(lc(b)) *
+    lc(r) * x^k * b, both factors first divided by gcd(lc(r), lc(b)); the
+    multiplier of r stays positive, so no sign flips."""
+    r = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    sb, mb = (1, lb) if lb > 0 else (-1, -lb)
+    while len(r) > n:
+        lr = r.pop()
+        if lr == 0:
+            continue
+        g = math.gcd(lr, mb)
+        s, t = mb // g, sb * lr // g
+        k = len(r) - n
+        if s != 1:
+            r = [s * v for v in r]
+        for i in range(n):
+            r[k + i] -= t * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def sign_at(p: RationalPoly, point: ExtendedPoint) -> int:
@@ -336,32 +384,34 @@ def sign_at(p: RationalPoly, point: ExtendedPoint) -> int:
     if p.is_zero:
         return 0
     if isinstance(point, _Infinity):
-        s = _sign(p.leading)
-        if point.sign < 0 and p.degree % 2 == 1:
-            s = -s
-        return s
-    return _sign(p.evaluate(point))
+        s = 1 if p.leading > 0 else -1
+        return -s if point.sign < 0 and p.degree % 2 == 1 else s
+    return p.sign(point)
 
 
 def _scaled_sturm_chain(p: RationalPoly) -> list[RationalPoly]:
     """Sturm chain (s0 = p, s1 = p', s_{i+1} = -rem(s_{i-1}, s_i)) with each
     member rescaled to a positive integer-primitive multiple; sign patterns,
-    and hence variation counts, are unchanged."""
+    and hence variation counts, are unchanged. The remainders are taken over
+    the integers (see _pseudo_remainder)."""
     if p.is_zero:
         return [p]
-    chain = [p.primitive(), p.derivative().primitive()]
-    if chain[1].is_zero:
-        return chain[:1]
-    while chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero:
+    chain = [p._ints, _primitive([i * c for i, c in enumerate(p._ints)][1:])]
+    if not chain[1]:
+        return [_from_ints(chain[0])]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append((-r).primitive())
-    return chain
+        chain.append(_primitive([-v for v in r]))
+    return [_from_ints(c) for c in chain]
 
 
 def sign_variations(chain: Sequence[RationalPoly], at: ExtendedPoint) -> int:
-    signs = [sign_at(q, at) for q in chain]
+    if isinstance(at, _Infinity):
+        signs = [sign_at(q, at) for q in chain]
+    else:
+        signs = [q.sign(at) for q in chain]
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
@@ -375,7 +425,7 @@ def count_distinct_roots(
     if p.degree == 0:
         return 0
     for pt in (lo, hi):
-        if not isinstance(pt, _Infinity) and p.evaluate(pt) == 0:
+        if not isinstance(pt, _Infinity) and p.sign(pt) == 0:
             raise EndpointRootError(f"endpoint {pt} is a root; perturb the interval")
     chain = _scaled_sturm_chain(p)
     return sign_variations(chain, lo) - sign_variations(chain, hi)
@@ -385,13 +435,13 @@ def _nonroot_split(q: RationalPoly, lo: Fraction, hi: Fraction) -> Fraction:
     width = hi - lo
     for num, den in ((1, 2), (3, 7), (5, 11), (7, 13), (9, 17), (11, 23)):
         cand = lo + width * Fraction(num, den)
-        if q.evaluate(cand) != 0:
+        if q.sign(cand) != 0:
             return cand
     # q has finitely many roots, so some shifted midpoint must work
     k = 29
     while True:
         cand = lo + width * Fraction(1, k)
-        if q.evaluate(cand) != 0:
+        if q.sign(cand) != 0:
             return cand
         k += 2
 
@@ -410,19 +460,22 @@ def isolate_real_roots(p: RationalPoly) -> list[tuple[Fraction, Fraction]]:
     def count(lo: Fraction, hi: Fraction) -> int:
         return sign_variations(chain, lo) - sign_variations(chain, hi)
 
+    # each work item carries the variation counts at its ends, so every
+    # split point is evaluated once
     done: list[tuple[Fraction, Fraction]] = []
-    work = [(-big, big)]
+    work = [(-big, sign_variations(chain, -big), big, sign_variations(chain, big))]
     while work:
-        lo, hi = work.pop()
-        n = count(lo, hi)
+        lo, vlo, hi, vhi = work.pop()
+        n = vlo - vhi
         if n == 0:
             continue
         if n == 1:
             done.append((lo, hi))
             continue
         mid = _nonroot_split(q, lo, hi)
-        work.append((lo, mid))
-        work.append((mid, hi))
+        vmid = sign_variations(chain, mid)
+        work.append((lo, vlo, mid, vmid))
+        work.append((mid, vmid, hi, vhi))
     done.sort()
     # bisection can leave adjacent intervals sharing an endpoint; shrink the
     # left one (keeping the half that holds its root) until they are disjoint
@@ -440,10 +493,10 @@ def refine_interval(
     """Shrink an isolating interval of squarefree p below the requested width."""
     q = p.squarefree_part()
     lo, hi = interval
-    slo = _sign(q.evaluate(lo))
+    slo = q.sign(lo)
     while hi - lo > width:
         mid = _nonroot_split(q, lo, hi)
-        smid = _sign(q.evaluate(mid))
+        smid = q.sign(mid)
         if smid == slo:
             lo = mid
         else:
@@ -515,7 +568,7 @@ def sign_implication(
     if cells is None:
         cells = real_line_cells([a, b])
     for s in cells.samples:
-        if prem(_sign(a.evaluate(s))) and not concl(_sign(b.evaluate(s))):
+        if prem(a.sign(s)) and not concl(b.sign(s)):
             return False, s
     return True, None
 
@@ -538,7 +591,7 @@ def find_strict_interval(
         cells = real_line_cells(polys)
     n = len(cells.samples)
     for idx, s in enumerate(cells.samples):
-        if all(_sign(p.evaluate(s)) == want for p, want in constraints):
+        if all(p.sign(s) == want for p, want in constraints):
             if not cells.intervals:
                 return (s - 1, s + 1)
             if idx == 0:
@@ -561,7 +614,7 @@ def sign_report_on_real_line(
     samples = cells.samples if cells else [Fraction(0)]
     pos_at = neg_at = None
     for s in samples:
-        v = _sign(p.evaluate(s))
+        v = p.sign(s)
         if v > 0 and pos_at is None:
             pos_at = s
         if v < 0 and neg_at is None:

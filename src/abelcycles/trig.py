@@ -513,11 +513,11 @@ class FunctionChart:
         if chart == "point":
             return _sgn(self.value(*coord))
         if chart == "half":
-            return _sgn(self.half.evaluate(coord))
+            return self.half.sign(coord)
         if chart not in ("tan", "tan2"):
             raise ValueError(f"unknown chart {chart!r}")
         p, flip = self.tan
-        v = _sgn(p.evaluate(coord))
+        v = p.sign(coord)
         return -v if chart == "tan2" and flip else v
 
 

@@ -1,8 +1,9 @@
 """`abel-cycles` output pinned byte for byte on a small corpus.
 
 The corpus holds one input of each schema: gallery case 1 (planar), gallery
-case 2 (homogeneous, with the obstruction report), a cubic-coefficient
-equation, and a factored equation whose witnesses fall in all four charts
+case 2 (homogeneous, with the obstruction report; also a quarter turn on,
+`gallery2-homogeneous-quarter-turn`, the slowest `check` of the benchmark's
+certify pool), a cubic-coefficient equation, and a factored equation whose witnesses fall in all four charts
 ('half', 'tan', 'tan2' and an exact 'point'). Small constant and homogeneous
 inputs pin the branches of the factored and planar sign criteria that these
 miss: a Holds in each A1Negative region note (`a1neg-*`), a NegativeBranch

@@ -15,6 +15,7 @@ from abelcycles.poly import (
     EndpointRootError,
     RationalPoly,
     SignOnSet,
+    _scaled_sturm_chain,
     count_distinct_roots,
     find_strict_interval,
     isolate_real_roots,
@@ -40,6 +41,128 @@ def rand_poly(rng: random.Random, max_deg: int = 8, height: int = 100) -> Ration
     if all(c == 0 for c in cs):
         cs[-1] = 1
     return P(cs)
+
+
+def scaled_sturm_chain_reference(p: RationalPoly) -> list[RationalPoly]:
+    """The scaled Sturm chain with its remainders taken by Fraction divmod:
+    how the chain was built before integer pseudo-remainders."""
+    if p.is_zero:
+        return [p]
+    chain = [p.primitive(), p.derivative().primitive()]
+    if chain[1].is_zero:
+        return chain[:1]
+    while chain[-1].degree > 0:
+        _, r = chain[-2].divmod(chain[-1])
+        if r.is_zero:
+            break
+        chain.append((-r).primitive())
+    return chain
+
+
+def gcd_reference(a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    """Monic gcd by Fraction divmod, each remainder made primitive."""
+    while not b.is_zero:
+        _, r = a.divmod(b)
+        a, b = b, r.primitive() if not r.is_zero else r
+    return a.monic()
+
+
+# rational coefficients: small, zero, negative, and with large denominators
+coeff = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(max_denominator=10**9),
+)
+point = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-30, max_value=30, max_denominator=16),
+    st.fractions(max_denominator=10**15),
+)
+
+
+def sign_of(v: Fraction) -> int:
+    return (v > 0) - (v < 0)
+
+
+class TestIntegerSign:
+    """RationalPoly.sign reads b^deg * L * p(a/b) over the integers."""
+
+    @given(st.lists(coeff, max_size=9), point)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_sign_of_evaluate(self, cs, x):
+        p = P(cs)
+        assert p.sign(x) == sign_of(p.evaluate(x))
+
+    @given(st.lists(coeff, max_size=6), point, point)
+    @settings(max_examples=200, deadline=None)
+    def test_zero_at_a_root(self, cs, root, x):
+        q = P(cs)
+        p = P([-Fraction(root), 1]) * q
+        assert p.sign(root) == 0
+        assert p.sign(x) == sign_of(p.evaluate(x))
+
+    def test_zero_and_constant_polynomials(self):
+        for x in (Fraction(0), Fraction(-7, 3), Fraction(1, 10**20), 5):
+            assert RationalPoly.zero().sign(x) == 0
+            assert P([Fraction(-2, 9)]).sign(x) == -1
+            assert P([Fraction(1, 10**12)]).sign(x) == 1
+
+    def test_negative_points_and_large_denominators(self):
+        p = P([Fraction(-1, 3), 0, 1])  # x^2 - 1/3
+        assert p.sign(Fraction(-577, 1000)) == -1
+        assert p.sign(Fraction(-578, 1000)) == 1
+        # 1/sqrt(3) = 0.577350269189625764509...
+        assert p.sign(Fraction(577350269189625764, 10**18)) == -1
+        assert p.sign(Fraction(577350269189625765, 10**18)) == 1
+        assert p.sign(Fraction(-577350269189625765, 10**18)) == 1
+
+
+class TestIntegerRemainders:
+    """The Sturm chain and the gcd equal their Fraction-divmod references."""
+
+    # degrees 5, 4, 2, 1, 0: the divisor of degree 2 has a negative leading
+    # coefficient and the degree drops by 2, so three eliminations scale by it
+    GAPPED = P([-2, -2, 1, 0, 0, -2])
+
+    def test_gapped_chain(self):
+        chain = _scaled_sturm_chain(self.GAPPED)
+        assert [q.degree for q in chain] == [5, 4, 2, 1, 0]
+        assert chain[2].leading < 0
+        assert chain == scaled_sturm_chain_reference(self.GAPPED)
+
+    @given(st.lists(st.integers(-6, 6), max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_chain_matches_reference_on_integers(self, cs):
+        p = P(cs)
+        assert _scaled_sturm_chain(p) == scaled_sturm_chain_reference(p)
+
+    @given(st.lists(coeff, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_chain_matches_reference_on_rationals(self, cs):
+        p = P(cs)
+        assert _scaled_sturm_chain(p) == scaled_sturm_chain_reference(p)
+
+    @given(
+        st.lists(coeff, max_size=7),
+        st.lists(coeff, max_size=5),
+        st.lists(st.integers(-4, 4), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gcd_matches_reference(self, cs1, cs2, common):
+        g = P(common) if any(common) else P([1])
+        a, b = P(cs1) * g, P(cs2) * g
+        assert a.gcd(b) == gcd_reference(a, b)
+        assert b.gcd(a) == gcd_reference(b, a)
+
+    def test_gcd_with_negative_leads_and_degree_gaps(self):
+        common = P([3, -1, 0, 2])  # 2x^3 - x + 3
+        for gap in range(1, 5):
+            a = P([1] + [0] * gap + [-5]) * common  # degree 3 + gap + 1
+            b = P([-2, -3]) * common  # negative leading coefficient
+            assert a.gcd(b) == gcd_reference(a, b) == common.monic()
+        assert self.GAPPED.gcd(RationalPoly.zero()) == self.GAPPED.monic()
+        assert RationalPoly.zero().gcd(self.GAPPED) == self.GAPPED.monic()
+        assert RationalPoly.zero().gcd(RationalPoly.zero()).is_zero
 
 
 class TestArithmetic:

@@ -6,7 +6,6 @@ longer exists fails here instead of only when someone runs the study.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,13 +19,10 @@ def test_script_imports(name):
     assert callable(namespace["main"])
 
 
-def test_search_attaining_runs_on_a_small_scan(monkeypatch, capsys):
+def test_search_attaining_runs_on_a_small_scan(capsys):
     namespace = runpy.run_path(
         str(SCRIPTS / "search_attaining.py"), run_name="scripts_smoke"
     )
     # "-2,1" after a space would parse as an option, so it takes the = form
-    monkeypatch.setattr(
-        sys, "argv", ["search_attaining.py", "--values=-2,1", "--grid", "10"]
-    )
-    assert namespace["main"]() == 0
+    assert namespace["main"](["--values=-2,1", "--grid", "10"]) == 0
     assert "attaining instance(s)" in capsys.readouterr().out
