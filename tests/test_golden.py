@@ -9,7 +9,9 @@ inputs pin the branches of the factored and planar sign criteria that these
 miss: a Holds in each A1Negative region note (`a1neg-*`), a NegativeBranch
 Holds, a Fails of the whole-circle requirement, the neutral-curve and the
 equality-only Inapplicable, and the planar whole-circle Fails, neutral and
-equality-only Inapplicable (`planar-*`). Each input pins what `check` and
+equality-only Inapplicable (`planar-*`). `normalized-eta-beyond-defaults`
+pins a normalized-form multiplier (eta = -12) that lies outside the
+default multiplier list. Each input pins what `check` and
 `transform` print, and the two gallery reproductions are pinned too. An
 expected file changes only with an intended output change; regenerate it with
 
