@@ -235,7 +235,9 @@ class TrigPoly:
 
     @cached_property
     def chart(self) -> "FunctionChart":
-        return FunctionChart(self)
+        # the chart holds a bare copy, so it does not point back at self
+        # and both are freed by reference counting
+        return FunctionChart(TrigPoly(self.terms))
 
     @cached_property
     def _sign_report(self) -> "SignReport":
@@ -386,7 +388,7 @@ class TrigRational:
         shared (1+u^2) normalization so the ratio is unchanged. The result is
         computed once and kept; it is its own reduced form.
         """
-        return self._reduced
+        return self if self.__dict__.get("_is_reduced") else self._reduced
 
     @cached_property
     def _reduced(self) -> "TrigRational":
@@ -399,14 +401,15 @@ class TrigRational:
                 TrigPoly.from_half_angle(p, k), TrigPoly.from_half_angle(q, k)
             )
             r.__dict__["_pair"] = (p, q)
-        r.__dict__["_reduced"] = r
+        # a flag: a reference from r to itself would be a cycle
+        r.__dict__["_is_reduced"] = True
         return r
 
     def sign_proxy(self) -> TrigPoly:
         """num*den of the reduced form: same sign as self wherever defined,
         zero exactly at zeros and poles of self. The reduced form builds it
         once and keeps it, and with it the proxy's chart and sign report."""
-        return self._reduced._proxy
+        return self.reduced()._proxy
 
     @cached_property
     def _proxy(self) -> TrigPoly:
@@ -423,7 +426,7 @@ class TrigRational:
 
     @cached_property
     def chart(self) -> "FunctionChart":
-        r = self._reduced
+        r = self.reduced()
         return FunctionChart(r.num, r.den) if r is self else r.chart
 
     def pole_free(self) -> bool:
@@ -432,7 +435,7 @@ class TrigRational:
         q = _pole_part(self)
         if q.degree > 0 and count_distinct_roots(q) > 0:
             return False
-        return self._reduced.den.eval_at(Fraction(-1), Fraction(0)) != 0
+        return self.reduced().den.eval_at(Fraction(-1), Fraction(0)) != 0
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

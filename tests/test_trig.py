@@ -4,8 +4,10 @@ Float evaluation on dense period grids serves as the independent oracle for
 the exact chart computations.
 """
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -351,6 +353,52 @@ class TestReduceOnce:
         assert {g.pole_free() for g in fs} == {True, False}
         assert {has_odd_order_pole(g) for g in fs} == {True, False}
         assert any(not g.pole_free() and not has_odd_order_pole(g) for g in fs)
+
+
+class TestNoReferenceCycles:
+    """Kept charts, reduced forms and sign proxies are freed by reference
+    counting alone, with the cyclic collector switched off."""
+
+    @staticmethod
+    def freed_without_gc(make, keep):
+        gc.disable()
+        try:
+            obj = make()
+            ref = weakref.ref(keep(obj))
+            del obj
+            return ref() is None
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def fresh_rational():
+        return TrigRational(
+            TrigPoly.sinwave(2), TrigPoly.constant(2) + TrigPoly.coswave()
+        )
+
+    def test_a_polynomial_with_its_chart_and_report(self):
+        def make():
+            f = TrigPoly.constant(1) + TrigPoly.coswave(3)
+            definite_sign_report(f)
+            return f
+
+        assert self.freed_without_gc(make, lambda f: f)
+
+    def test_a_reduced_form(self):
+        def make():
+            f = self.fresh_rational()
+            assert f.reduced().reduced() is f.reduced()
+            return f
+
+        assert self.freed_without_gc(make, lambda f: f.reduced())
+
+    def test_a_sign_proxy_with_its_report(self):
+        def make():
+            f = self.fresh_rational()
+            definite_sign_report(f.sign_proxy())
+            return f
+
+        assert self.freed_without_gc(make, lambda f: f.sign_proxy())
 
 
 class TestSignClassification:
