@@ -11,6 +11,8 @@ Checkers:
 * check_definite_a2: one-signed a2 alone bounds the cycle count by one;
 * check_normalized: the normalized-form criterion, including an exact
   decision of "some eta makes the combination sign definite";
+* linear_parameter_feasible: whether some rational mu makes pa + mu*pb >= 0
+  on R, always decided, for check_normalized and obstruction_report;
 * check_planar_no_cycle / check_planar_at_most_one: homogeneous planar
   systems, decided directly on the angular/radial components phi and psi;
 * obstruction_report: five certificates that no sign-combination argument of
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .abel import (
     FactoredAbel,
@@ -48,6 +50,7 @@ from .poly import (
     count_distinct_roots,
     find_strict_interval,
     isolate_real_roots,
+    real_line_cells,
     refine_interval,
     sign_implication,
     sign_report_on_real_line,
@@ -279,15 +282,12 @@ def _zero_witness(fp: TrigPoly, label: str) -> Optional[Witness]:
 
 @dataclass(frozen=True)
 class FeasibilityOutcome:
-    status: str  # "Feasible" | "Infeasible" | "Unknown"
+    status: str  # "Feasible" | "Infeasible"
     value: Optional[Fraction] = None
     witnesses: tuple[Witness, ...] = ()
     note: str = ""
 
 
-_SEED_SAMPLES = tuple(
-    Fraction(x) for x in (0, 1, -1, 2, -2, 10, -10, 100, -100, 10000, -10000)
-)
 _DEFAULT_MULTIPLIERS = tuple(
     Fraction(*x)
     for x in (
@@ -341,24 +341,25 @@ def _root_obstructions(
 
 
 def linear_parameter_feasible(
-    pairs: Sequence[tuple[RationalPoly, RationalPoly]],
+    pa: RationalPoly,
+    pb: RationalPoly,
     value_planes: Sequence[tuple[Fraction, Fraction, Optional[Witness]]] = (),
-    candidates: Sequence[Fraction] = (),
-    max_rounds: int = 32,
     chart: str = "half",
 ) -> FeasibilityOutcome:
-    """Decide whether some rational mu satisfies pa + mu*pb >= 0 on all of R
-    for every pair, and va + mu*vb >= 0 for every value plane (va, vb, witness);
-    a plane that comes from a circle point names it in its witness.
+    """Decide whether some rational mu makes pa + mu*pb >= 0 on all of R and
+    va + mu*vb >= 0 for every value plane (va, vb, witness); a plane that
+    comes from a circle point names it in its witness.
 
-    Infeasibility is certified two ways: a root of some pb where pa < 0, or an
-    empty intersection of the half-line constraints collected from exact
-    counterexample samples (cutting planes). Feasibility is certified by an
-    exact sign check of the candidate. Bounded rounds, so Unknown is possible.
+    Infeasibility is first certified by pa dominating at infinity with the
+    wrong sign, or by roots of pb where pa < 0 (isolating-interval witnesses
+    in `chart`). Then the candidates of _candidates are checked exactly in
+    turn; the first that passes is the answer. Each failed candidate yields
+    a counterexample point x, whose constraint pa(x) + mu*pb(x) >= 0 joins
+    the planes in bounding mu; bounds that cross certify infeasibility with
+    their two witnesses. Feasibility is constant on each cell the candidates
+    sample, so when none passes, no rational mu does.
     """
-    for pa, pb in pairs:
-        if pa.is_zero:
-            continue
+    if not pa.is_zero:
         db = -1 if pb.is_zero else pb.degree
         if pa.degree > db and (pa.degree % 2 == 1 or pa.leading < 0):
             return FeasibilityOutcome(
@@ -368,11 +369,8 @@ def linear_parameter_feasible(
                     "with the wrong sign"
                 ),
             )
-    obstructions: list[Witness] = []
-    for pa, pb in pairs:
-        if pb.is_zero:
-            continue
-        obstructions.extend(
+    if not pb.is_zero:
+        obstructions = tuple(
             Witness(
                 "the multiplier coefficient vanishes here while the offset is negative",
                 chart,
@@ -380,8 +378,8 @@ def linear_parameter_feasible(
             )
             for ob in _root_obstructions(pa, pb)
         )
-    if obstructions:
-        return FeasibilityOutcome("Infeasible", witnesses=tuple(obstructions))
+        if obstructions:
+            return FeasibilityOutcome("Infeasible", witnesses=obstructions)
 
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
@@ -423,80 +421,119 @@ def linear_parameter_feasible(
         res = add(va, vb, wit)
         if res is not None:
             return res
-    for pa, pb in pairs:
-        for u in _SEED_SAMPLES:
-            res = add(pa.evaluate(u), pb.evaluate(u), Witness("seed sample", chart, point=u))
-            if res is not None:
-                return res
-
-    tried: set[Fraction] = set()
-    pool = list(candidates) + list(_DEFAULT_MULTIPLIERS)
-    for _ in range(max_rounds):
-        mu = _pick_multiplier(lo, hi, pool, tried)
-        if mu is None:
-            break
-        tried.add(mu)
-        violated = False
-        for pa, pb in pairs:
-            fmu = pa + pb.scale(mu)
-            sign, _, neg = sign_report_on_real_line(fmu)
-            if not sign.is_nonnegative:
-                violated = True
-                res = add(
-                    pa.evaluate(neg),
-                    pb.evaluate(neg),
-                    Witness("exact counterexample sample", chart, point=neg),
-                )
-                if res is not None:
-                    return res
-                break
-        if not violated:
+    for mu in _candidates(pa, pb, value_planes):
+        if (lo is not None and mu < lo) or (hi is not None and mu > hi):
+            continue
+        neg = sign_report_on_real_line(pa + pb.scale(mu))[2]
+        if neg is None:
             return FeasibilityOutcome("Feasible", value=mu)
+        res = add(
+            pa.evaluate(neg),
+            pb.evaluate(neg),
+            Witness("exact counterexample sample", chart, point=neg),
+        )
+        if res is not None:
+            return res
     return FeasibilityOutcome(
-        "Unknown", note=f"no decision within {max_rounds} rounds"
+        "Infeasible",
+        note="no critical multiplier and no cell between them satisfies every constraint",
     )
 
 
-def _pick_multiplier(
-    lo: Optional[Fraction],
-    hi: Optional[Fraction],
-    pool: Sequence[Fraction],
-    tried: set,
-) -> Optional[Fraction]:
-    def inside(x: Fraction) -> bool:
-        return (lo is None or x >= lo) and (hi is None or x <= hi)
+def _candidates(
+    pa: RationalPoly,
+    pb: RationalPoly,
+    value_planes: Sequence[tuple[Fraction, Fraction, Optional[Witness]]],
+) -> Iterator[Fraction]:
+    """The default multipliers, then the rational real roots of
+    _critical_multipliers in ascending order, then one rational point inside
+    each open cell that its real roots cut; the roots are found only once
+    the defaults are used up.
 
-    for c in pool:
-        if c not in tried and inside(c):
-            return c
-    if lo is not None and hi is not None:
-        for x in ((lo + hi) / 2, lo, hi, lo + (hi - lo) / 3, hi - (hi - lo) / 3):
-            if x not in tried:
-                return x
-        return None
-    if lo is not None:
-        x, step = lo, Fraction(1)
-        while x in tried:
-            x, step = lo + step, step * 2
-        return x
-    if hi is not None:
-        x, step = hi, Fraction(1)
-        while x in tried:
-            x, step = hi - step, step * 2
-        return x
-    x = Fraction(0)
-    while x in tried:
-        x += 1
-    return x
+    A rational root p/q of the primitive squarefree part, with leading
+    coefficient L, has q | L; two such rationals lie at least 1/L^2 apart,
+    so once its isolating interval is narrower than 1/(2 L^2) the root is
+    the fraction with denominator at most L nearest to the midpoint (Basu,
+    Pollack & Roy, Algorithms in Real Algebraic Geometry, 2006)."""
+    yield from _DEFAULT_MULTIPLIERS
+    q = _critical_multipliers(pa, pb, value_planes).squarefree_part()
+    lead = abs(int(q.primitive().leading))
+    cells = real_line_cells([q])
+    for iv in cells.intervals:
+        lo, hi = refine_interval(q, iv, Fraction(1, 2 * lead * lead))
+        r = ((lo + hi) / 2).limit_denominator(lead)
+        if q.sign(r) == 0:
+            yield r
+    yield from cells.samples
+
+
+def _critical_multipliers(
+    pa: RationalPoly,
+    pb: RationalPoly,
+    value_planes: Sequence[tuple[Fraction, Fraction, Optional[Witness]]],
+) -> RationalPoly:
+    """A nonzero polynomial in mu whose real roots cut R into open cells on
+    each of which the feasibility of mu is constant.
+
+    With g = gcd(pa, pb), a = pa/g and b = pb/g, pa + mu*pb = g*(a + mu*b).
+    The sign pattern of this on R can change only where the top coefficient
+    of a + mu*b vanishes, or where a + mu*b vanishes at a root of c, the
+    squarefree part of (a'b - ab')*g: a double root of a + mu*b is a root of
+    a'b - ab', and a root shared with g is a root of g. The second kind are
+    the roots of R(mu) = prod over the roots x of c of (a(x) + mu*b(x)), of
+    degree at most deg c, interpolated from its values at 0, 1, ..., deg c.
+    A value plane changes sign only at its own root.
+    """
+    crit = RationalPoly.constant(1)
+    for va, vb, _ in value_planes:
+        if vb != 0:
+            crit = crit * RationalPoly.from_coeffs([va, vb])
+    if pb.is_zero:
+        return crit
+    g = pa.gcd(pb)
+    a, b = pa.exact_div(g), pb.exact_div(g)
+    d = max(a.degree, b.degree)
+    top = [p.coeffs[d] if d <= p.degree else 0 for p in (a, b)]
+    crit = crit * RationalPoly.from_coeffs(top)
+    w = (a.derivative() * b - a * b.derivative()) * g
+    if w.degree <= 0:
+        return crit
+    c = w.squarefree_part()
+    values = [_root_product(c, a + b.scale(m)) for m in range(c.degree + 1)]
+    return crit * _interpolate(values)
+
+
+def _root_product(c: RationalPoly, f: RationalPoly) -> Fraction:
+    """The product of f(x) over the complex roots x of c, with multiplicity:
+    Res(c, f) / lc(c)^deg f, by the Euclidean recursion of the resultant."""
+    out = Fraction(1)
+    while c.degree > 0:
+        f = f.divmod(c)[1]
+        if f.is_zero:
+            return Fraction(0)
+        out *= (-1) ** (c.degree * f.degree) * f.leading**c.degree / c.leading**f.degree
+        c, f = f, c
+    return out
+
+
+def _interpolate(values: Sequence[Fraction]) -> RationalPoly:
+    """The polynomial of degree below len(values) that takes values[m] at
+    m = 0, 1, ..., by Newton's divided differences."""
+    coef = list(values)
+    for j in range(1, len(coef)):
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / j
+    out = RationalPoly.zero()
+    for i in reversed(range(len(coef))):
+        out = out * RationalPoly.from_coeffs([-i, 1]) + RationalPoly.constant(coef[i])
+    return out
 
 
 def definite_combination_feasible(
     base: TrigLike,
     multiplier: TrigLike,
     sign: int = 1,
-    candidates: Sequence[Fraction] = (),
     parameter_planes: Sequence[tuple[Fraction, Fraction]] = (),
-    max_rounds: int = 32,
 ) -> FeasibilityOutcome:
     """Decide whether some rational mu makes sign*(base + mu*multiplier) >= 0
     on the whole circle. Both functions must be pole-free; the decision runs
@@ -523,36 +560,11 @@ def definite_combination_feasible(
         )
     ]
     planes.extend((va, vb, None) for va, vb in parameter_planes)
-    return linear_parameter_feasible([(na, nb)], planes, candidates, max_rounds)
+    return linear_parameter_feasible(na, nb, planes)
 
 
 def _as_rational(f: TrigLike) -> TrigRational:
     return f if isinstance(f, TrigRational) else TrigRational.from_poly(f)
-
-
-def _exists_definite_combination(
-    base: TrigRational,
-    multiplier: TrigRational,
-    candidates: Sequence[Fraction],
-    max_rounds: int = 32,
-) -> tuple[FeasibilityOutcome, Optional[Branch]]:
-    """Both sign branches of definite_combination_feasible, positive first."""
-    pos = definite_combination_feasible(base, multiplier, 1, candidates, (), max_rounds)
-    if pos.status == "Feasible":
-        return pos, Branch.POSITIVE
-    neg = definite_combination_feasible(base, multiplier, -1, candidates, (), max_rounds)
-    if neg.status == "Feasible":
-        return neg, Branch.NEGATIVE
-    if pos.status == "Infeasible" and neg.status == "Infeasible":
-        return (
-            FeasibilityOutcome(
-                "Infeasible",
-                witnesses=pos.witnesses + neg.witnesses,
-                note="no multiplier gives either sign",
-            ),
-            None,
-        )
-    return FeasibilityOutcome("Unknown", note="feasibility search inconclusive"), None
 
 
 # --- factored-equation criteria ---------------------------------------------
@@ -814,16 +826,14 @@ def check_definite_a2(f: FactoredAbel) -> CriterionVerdict:
 # --- normalized-form criterion ----------------------------------------------
 
 
-def check_normalized(
-    n: NormalizedAbel, eta_grid: Sequence[Fraction] = ()
-) -> CriterionVerdict:
+def check_normalized(n: NormalizedAbel) -> CriterionVerdict:
     """Normalized-form bound: Holds (AtMostOne) when any of the following is
     certified: (i) a1 never vanishes and some eta makes
     a1*b2 + eta*a2*b1 + a1'/b1 sign definite; (ii) a2 keeps one sign;
     (iii) a1*a2 and b1*b2 keep opposite (non-strict) signs.
 
-    Fails only when all three are certifiably false; an inconclusive eta
-    search with no other condition holding is reported as Inapplicable.
+    Fails only when all three are certifiably false; the eta question is
+    decided exactly (see linear_parameter_feasible).
     """
     cid = "normalized_bound"
     if not (n.a2n.pole_free() and n.b2n.pole_free()):
@@ -844,7 +854,6 @@ def check_normalized(
     witnesses: list[Witness] = []
     eta_val: Optional[Fraction] = None
     branch: Optional[Branch] = None
-    unknown = False
 
     rep2 = definite_sign_report(n.a2n.sign_proxy())
     if rep2.sign.is_nonnegative or rep2.sign.is_nonpositive:
@@ -876,16 +885,18 @@ def check_normalized(
             n.a1n.derivative(), n.b1n
         )
         mult = n.a2n * TrigRational.from_poly(n.b1n)
-        out, br = _exists_definite_combination(base, mult, list(eta_grid))
-        if out.status == "Feasible":
-            held.append(
-                "(i) a1 never vanishes and the eta-combination keeps one sign"
-            )
-            eta_val, branch = out.value, br
-        elif out.status == "Infeasible":
-            witnesses.extend(out.witnesses)
+        refuted: list[Witness] = []
+        for br, sign in ((Branch.POSITIVE, 1), (Branch.NEGATIVE, -1)):
+            out = definite_combination_feasible(base, mult, sign)
+            if out.status == "Feasible":
+                held.append(
+                    "(i) a1 never vanishes and the eta-combination keeps one sign"
+                )
+                eta_val, branch = out.value, br
+                break
+            refuted.extend(out.witnesses)
         else:
-            unknown = True
+            witnesses.extend(refuted)
 
     if held:
         return CriterionVerdict(
@@ -895,16 +906,6 @@ def check_normalized(
             branch=branch,
             eta=eta_val,
             notes="satisfied: " + "; ".join(held),
-        )
-    if unknown:
-        return CriterionVerdict(
-            cid,
-            Outcome.INAPPLICABLE,
-            witnesses=tuple(witnesses),
-            notes=(
-                "the eta feasibility search was inconclusive and no other "
-                "condition holds"
-            ),
         )
     return CriterionVerdict(
         cid,
@@ -991,10 +992,10 @@ def _planar_criterion(sys: HomogeneousSystem, cid: str) -> CriterionVerdict:
 class ObstructionCheck:
     """holds=True: certified that no combination of the checked family has
     definite sign; holds=False: some combination works (or the data is
-    degenerate); holds=None: undecided within the search budget."""
+    degenerate)."""
 
     check: str
-    holds: Optional[bool]
+    holds: bool
     witnesses: tuple[Witness, ...] = ()
     note: str = ""
 
@@ -1013,7 +1014,7 @@ class ObstructionReport:
 
     @property
     def all_hold(self) -> bool:
-        return all(c.holds is True for c in self.checks)
+        return all(c.holds for c in self.checks)
 
     def to_json(self) -> dict:
         return {
@@ -1090,24 +1091,22 @@ def _chart_combination_check(omega1: TrigPoly, omega2: TrigPoly) -> ObstructionC
             False,
             note=f"the first chart polynomial alone has sign {s1.value}",
         )
-    up = linear_parameter_feasible([(p2, p1)], chart=chart)
+    up = linear_parameter_feasible(p2, p1, chart=chart)
     if up.status == "Feasible":
         return ObstructionCheck(
             check_id, False, note=f"P2 + ({up.value}) P1 is nonnegative"
         )
-    down = linear_parameter_feasible([(p2.scale(-1), p1.scale(-1))], chart=chart)
+    down = linear_parameter_feasible(p2.scale(-1), p1.scale(-1), chart=chart)
     if down.status == "Feasible":
         return ObstructionCheck(
             check_id, False, note=f"P2 + ({down.value}) P1 is nonpositive"
         )
-    if up.status == "Infeasible" and down.status == "Infeasible":
-        return ObstructionCheck(
-            check_id,
-            True,
-            up.witnesses + down.witnesses,
-            "no combination of the chart polynomials keeps one sign",
-        )
-    return ObstructionCheck(check_id, None, note="feasibility search inconclusive")
+    return ObstructionCheck(
+        check_id,
+        True,
+        up.witnesses + down.witnesses,
+        "no combination of the chart polynomials keeps one sign",
+    )
 
 
 def _weighted_product_check(
@@ -1146,14 +1145,12 @@ def _weighted_product_check(
             False,
             note=f"weights nu1 = 1, nu2 = {out.value} make the product nonpositive",
         )
-    if out.status == "Infeasible":
-        return ObstructionCheck(
-            check_id,
-            True,
-            tuple(wit_b) + out.witnesses,
-            "no admissible weights make the product one-signed",
-        )
-    return ObstructionCheck(check_id, None, note="feasibility search inconclusive")
+    return ObstructionCheck(
+        check_id,
+        True,
+        tuple(wit_b) + out.witnesses,
+        "no admissible weights make the product one-signed",
+    )
 
 
 # --- eta sweep -----------------------------------------------------------------

@@ -292,7 +292,7 @@ def _reproduce_example2() -> ReproduceReport:
         lines.append(
             _line(
                 f"one-sign-route obstruction confirmed: {check.check}",
-                check.holds is True,
+                check.holds,
                 check.note,
             )
         )

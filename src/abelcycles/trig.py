@@ -235,8 +235,7 @@ class TrigPoly:
 
     @cached_property
     def chart(self) -> "FunctionChart":
-        # the chart holds a bare copy, so it does not point back at self
-        # and both are freed by reference counting
+        # a bare copy, so the chart does not point back at self (no cycle)
         return FunctionChart(TrigPoly(self.terms))
 
     @cached_property

@@ -29,7 +29,7 @@ from abelcycles.criteria import (
     witness_sign,
 )
 from abelcycles.planar import HomogeneousSystem, cherkas_transform
-from abelcycles.poly import RationalPoly, SignOnSet
+from abelcycles.poly import RationalPoly, SignOnSet, sign_report_on_real_line
 from abelcycles.trig import (
     TrigPoly,
     TrigRational,
@@ -530,29 +530,100 @@ class TestBestOverEtas:
             best_over_etas(check, EX1_FACTORED, [])
 
 
+def poly(*cs) -> RationalPoly:
+    return RationalPoly.from_coeffs(cs)
+
+
+def combination_feasible(pa, pb, planes, mu) -> bool:
+    """pa + mu*pb >= 0 on all of R and every plane va + mu*vb >= 0, decided
+    without the feasibility engine."""
+    return all(va + mu * vb >= 0 for va, vb, _ in planes) and (
+        sign_report_on_real_line(pa + pb.scale(mu))[0].is_nonnegative
+    )
+
+
+small_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=2), max_size=4
+).map(RationalPoly.from_coeffs)
+small_planes = st.lists(
+    st.tuples(small_fracs, small_fracs, st.none()), max_size=2
+)
+
+
 class TestFeasibilityEngine:
     def test_root_obstruction_certificate(self):
         # x + mu*x^2 is negative near the root 1 of (t-1) shifted: use
         # pa = t - 1 with pb = t^2 - 1: pa(-1) = -2 at the root -1 of pb
         pa = RationalPoly([-1, 1])
         pb = RationalPoly([-1, 0, 1])
-        out = linear_parameter_feasible([(pa, pb)])
+        out = linear_parameter_feasible(pa, pb)
         assert out.status == "Infeasible"
         assert any(w.interval is not None for w in out.witnesses)
 
     def test_feasible_with_certificate_value(self):
         # 1 + mu*t^2 >= 0 for any mu >= 0
-        out = linear_parameter_feasible([(RationalPoly([1]), RationalPoly([0, 0, 1]))])
+        out = linear_parameter_feasible(RationalPoly([1]), RationalPoly([0, 0, 1]))
         assert out.status == "Feasible"
         check = RationalPoly([1]) + RationalPoly([0, 0, 1]).scale(out.value)
-        from abelcycles.poly import sign_report_on_real_line
-
         assert sign_report_on_real_line(check)[0].is_nonnegative
 
     def test_contradictory_planes(self):
         # t + mu >= 0 for all t is impossible
-        out = linear_parameter_feasible([(RationalPoly([0, 1]), RationalPoly([1]))])
+        out = linear_parameter_feasible(RationalPoly([0, 1]), RationalPoly([1]))
         assert out.status == "Infeasible"
+
+    def test_a_single_feasible_point(self):
+        # t^2 + (2 mu - 2/3) t >= 0 on R only for mu = 1/3
+        out = linear_parameter_feasible(poly(0, F(-2, 3), 1), poly(0, 2))
+        assert (out.status, out.value) == ("Feasible", F(1, 3))
+
+    def test_a_shared_real_root_changes_sign_for_every_multiplier(self):
+        # t^2 - 1 + mu (t - 1)^2 / 2 = (t - 1)(t + 1 + mu (t - 1)/2) changes
+        # sign at t = 1, a root of both parts, which no root obstruction sees
+        pa = poly(-1, 0, 1)
+        pb = poly(F(1, 2), -1, F(1, 2))
+        out = linear_parameter_feasible(pa, pb, [(F(1), F(1, 2), None)])
+        assert out.status == "Infeasible"
+        assert out.note
+
+    def test_the_end_of_a_half_line_beyond_the_defaults(self):
+        # -6 - 2t^2 - mu (1 + t^2)^2 / 2 >= 0 exactly for mu <= -12
+        pa = poly(-6, 0, -2)
+        pb = poly(F(-1, 2), 0, -1, 0, F(-1, 2))
+        out = linear_parameter_feasible(pa, pb, [(F(0), F(-1, 2), None)])
+        assert (out.status, out.value) == ("Feasible", F(-12))
+
+    def test_a_plane_cuts_the_set_short_of_an_irrational_end(self):
+        # t^2 + 2 + 2 mu t >= 0 exactly for |mu| <= sqrt(2)
+        pa, pb = poly(2, 0, 1), poly(0, 2)
+        out = linear_parameter_feasible(pa, pb, [(F(-7, 5), F(1), None)])
+        assert (out.status, out.value) == ("Feasible", F(7, 5))
+        out = linear_parameter_feasible(pa, pb, [(F(-3, 2), F(1), None)])
+        assert out.status == "Infeasible"
+
+    @given(small_polys, small_polys, small_planes)
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_are_exact(self, pa, pb, planes):
+        out = linear_parameter_feasible(pa, pb, planes)
+        assert out.status in ("Feasible", "Infeasible")
+        if out.status == "Feasible":
+            assert combination_feasible(pa, pb, planes, out.value)
+        else:
+            grid = {F(p, q) for p in range(-12, 13) for q in (1, 2, 3)}
+            assert not any(combination_feasible(pa, pb, planes, mu) for mu in grid)
+
+    @given(
+        small_polys,
+        small_polys,
+        st.fractions(min_value=-20, max_value=20, max_denominator=7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_planted_multiplier_is_always_found(self, s, pb, mu0):
+        # pa = s^2 - mu0 pb makes mu0 feasible, so the answer must be Feasible
+        pa = s * s - pb.scale(mu0)
+        out = linear_parameter_feasible(pa, pb)
+        assert out.status == "Feasible"
+        assert combination_feasible(pa, pb, (), out.value)
 
     def test_combination_on_circle(self):
         base = TrigRational.constant(1)
