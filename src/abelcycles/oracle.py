@@ -507,10 +507,12 @@ def _refine_bracket(
     last = hi - lo
     while hi - lo > BISECTION_WIDTH:
         step = -d / dprime if dprime != 0.0 else math.inf
-        # lengthened, a converged iterate's next solve lands past the root
-        if abs(step) < 0.5 * BISECTION_WIDTH:
+        # lengthened, a converged iterate's next solve lands past the root;
+        # it is then longer than the step before it, and kept all the same
+        lengthened = abs(step) < 0.5 * BISECTION_WIDTH
+        if lengthened:
             step = math.copysign(0.5 * BISECTION_WIDTH, step)
-        if lo < x + step < hi and abs(step) <= 0.5 * last:
+        if lo < x + step < hi and (lengthened or abs(step) <= 0.5 * last):
             x += step
             last = abs(step)
         else:
