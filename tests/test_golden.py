@@ -12,12 +12,22 @@ equality-only Inapplicable, and the planar whole-circle Fails, neutral and
 equality-only Inapplicable (`planar-*`). `normalized-eta-beyond-defaults`
 pins a normalized-form multiplier (eta = -12) that lies outside the
 default multiplier list. Each input pins what `check` and
-`transform` print, and the two gallery reproductions are pinned too. An
-expected file changes only with an intended output change; regenerate it with
+`transform` print, and the two gallery reproductions are pinned too.
+
+`golden/oracle/` pins the displacement-map oracle: what `oracle` prints and
+the per-sample CSV it writes, at the grid of `ORACLE_GRIDS`.
+`a1positive-sweep` is a clean A1Positive sweep with no cycle, so it pins
+every step of the integrator bit for bit. An expected file changes only with
+an intended output change; regenerate it with
 
     abel-cycles check --input tests/golden/NAME.json > tests/golden/NAME.out
     abel-cycles transform --input tests/golden/NAME.json > tests/golden/NAME.transform.out
     abel-cycles reproduce EXAMPLE > tests/golden/reproduce-EXAMPLE.out
+    abel-cycles oracle --input tests/golden/oracle/NAME.json --grid GRID \
+        --out SCRATCH/NAME.json > tests/golden/oracle/NAME.out
+    cp SCRATCH/NAME.csv tests/golden/oracle/NAME.csv
+
+where SCRATCH is any other directory.
 """
 
 from pathlib import Path
@@ -28,6 +38,7 @@ from abelcycles.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
+ORACLE_GRIDS = {"a1positive-sweep": 40}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -46,3 +57,15 @@ def test_transform_output_is_byte_identical(name, capsys):
 def test_reproduce_output_is_byte_identical(example, capsys):
     assert main(["reproduce", example]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"reproduce-{example}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+def test_oracle_output_is_byte_identical(name, capsys, tmp_path):
+    out = tmp_path / "out.json"
+    argv = ["oracle", "--input", str(GOLDEN / "oracle" / f"{name}.json"),
+            "--grid", str(ORACLE_GRIDS[name]), "--out", str(out)]
+    assert main(argv) == 0
+    expected = (GOLDEN / "oracle" / f"{name}.out").read_text()
+    assert capsys.readouterr().out == expected
+    assert out.read_text() == expected
+    assert (tmp_path / "out.csv").read_bytes() == (GOLDEN / "oracle" / f"{name}.csv").read_bytes()
