@@ -161,13 +161,6 @@ def _compile_rational(tr: TrigRational) -> tuple[tuple, tuple]:
     return num, den
 
 
-def _eval_terms(terms: tuple, c: float, s: float) -> float:
-    total = 0.0
-    for i, j, co in terms:
-        total += co * c**i * s**j
-    return total
-
-
 def _arc_range(terms: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds of sum co cos^i sin^j on each arc: the endpoint
     values widened by a Lipschitz bound over half an arc and by a rounding
@@ -231,20 +224,30 @@ class CubicField:
         self.rate = rate
         self.radius = np.where(rate > 0.0, radius * _SAFETY, np.inf)
 
-    def values(self, t: float) -> tuple[float, float, float]:
+    def values(self, t: float) -> list[float]:
+        """C1, C2 and C3 at t."""
         c, s = math.cos(t), math.sin(t)
         out = []
         for num, den in self.coeffs:
-            dv = _eval_terms(den, c, s)
+            dv = 0.0
+            for i, j, co in den:
+                dv += co * c**i * s**j
             if abs(dv) <= self.guard:
                 raise _PoleGuard(f"coefficient denominator below guard at t={t:.6g}")
-            out.append(_eval_terms(num, c, s) / dv)
-        return tuple(out)
+            nv = 0.0
+            for i, j, co in num:
+                nv += co * c**i * s**j
+            out.append(nv / dv)
+        return out
 
-    def __call__(self, t: float, x: np.ndarray, z: np.ndarray):
+    def __call__(self, t: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The derivative of the state (x, z), stacked as a (2, n) array:
+        x' = x (C1 + C2 x + C3 x^2) and z' = f_x z."""
         c1, c2, c3 = self.values(t)
-        fx = c1 + x * (2.0 * c2 + 3.0 * c3 * x)
-        return x * (c1 + x * (c2 + c3 * x)), fx * z
+        out = np.empty((2,) + x.shape)
+        np.multiply(x, c1 + x * (c2 + c3 * x), out=out[0])
+        np.multiply(c1 + x * (2.0 * c2 + 3.0 * c3 * x), z, out=out[1])
+        return out
 
     def blows_up(self, t: float, t1: float, x: np.ndarray) -> np.ndarray:
         """Samples that the comparison bound proves infinite before t1: on
@@ -290,14 +293,19 @@ def _integrate_batch(
     cfg: IntegratorConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Advance the batch from t0 to t1. Returns final x, final variational
-    factor z (dx(t1)/dx0), escape flags, and per-sample escape reasons."""
-    x = np.asarray(x0, dtype=float).copy()
-    z = np.ones_like(x)
+    factor z (dx(t1)/dx0), escape flags, and per-sample escape reasons.
+
+    The state is one (2, n) array, x over z, so every stage combination,
+    the error estimate and the accept step are one array operation each."""
+    x = np.asarray(x0, dtype=float)
+    y = np.empty((2,) + x.shape)
+    y[0] = x
+    y[1] = 1.0
     escaped = np.zeros(x.shape, dtype=bool)
     reasons = [""] * x.size
     span = t1 - t0
     if span <= 0:
-        return x, z, escaped, reasons
+        return y[0], y[1], escaped, reasons
     h_max = span * cfg.max_step_fraction
     h = h_max / 8
     t = t0
@@ -311,14 +319,14 @@ def _integrate_batch(
         active[mask] = False
 
     with np.errstate(all="ignore"):
-        big = np.abs(x) > cfg.x_max
+        big = np.abs(y[0]) > cfg.x_max
         mark(big, "initial condition beyond x_max")
-        mark(active & field.blows_up(t, t1, x), BLOWUP_REASON)
+        mark(active & field.blows_up(t, t1, y[0]), BLOWUP_REASON)
         try:
-            k1 = field(t, x, z)
+            k1 = field(t, y[0], y[1])
         except _PoleGuard as exc:
             mark(active.copy(), str(exc))
-            return x, z, escaped, reasons
+            return y[0], y[1], escaped, reasons
 
         steps = 0
         while t < t1 - 1e-14 * span and active.any():
@@ -327,18 +335,13 @@ def _integrate_batch(
                 mark(active.copy(), "step budget exhausted")
                 break
             h = min(h, t1 - t)
-            kx = [k1[0]]
-            kz = [k1[1]]
+            ks = [k1]
             try:
                 for stage in range(1, 7):
-                    xa = x.copy()
-                    za = z.copy()
-                    for coeff, sx, sz in zip(_DP_A[stage], kx, kz):
-                        xa = xa + h * coeff * sx
-                        za = za + h * coeff * sz
-                    fx, fz = field(t + _DP_C[stage] * h, xa, za)
-                    kx.append(fx)
-                    kz.append(fz)
+                    ya = y
+                    for coeff, k in zip(_DP_A[stage], ks):
+                        ya = ya + h * coeff * k
+                    ks.append(field(t + _DP_C[stage] * h, ya[0], ya[1]))
             except _PoleGuard as exc:
                 h *= 0.25
                 if h < cfg.min_step:
@@ -346,18 +349,16 @@ def _integrate_batch(
                     break
                 continue
             # stage 7 state is the 5th-order solution (FSAL)
-            x5, z5 = xa, za
-            err_x = np.zeros_like(x)
-            err_z = np.zeros_like(z)
-            for coeff, sx, sz in zip(_DP_ERR, kx, kz):
-                err_x = err_x + h * coeff * sx
-                err_z = err_z + h * coeff * sz
-            scale_x = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x5))
-            scale_z = cfg.atol + cfg.rtol * np.maximum(np.abs(z), np.abs(z5))
-            ratio = np.maximum(np.abs(err_x) / scale_x, np.abs(err_z) / scale_z)
-            bad = active & (~np.isfinite(ratio) | ~np.isfinite(x5))
-            ratio = np.where(np.isfinite(ratio), ratio, np.inf)
-            enorm = float(np.max(ratio[active])) if active.any() else 0.0
+            y5 = ya
+            err = h * _DP_ERR[0] * ks[0]
+            for coeff, k in zip(_DP_ERR[1:], ks[1:]):
+                err = err + h * coeff * k
+            part = np.abs(err) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
+            ratio = np.maximum(part[0], part[1])
+            finite = np.isfinite(ratio)
+            bad = active & (~finite | ~np.isfinite(y5[0]))
+            ratio = np.where(finite, ratio, np.inf)
+            enorm = float(ratio.max(initial=0.0, where=active))
             if enorm > 1.0 or bad.any():
                 if h <= cfg.min_step * 1.0001:
                     # cannot shrink further: drop the offending samples, keep
@@ -368,18 +369,17 @@ def _integrate_batch(
                 h = max(h * max(0.2, 0.9 * enorm ** (-0.2) if enorm > 0 else 0.2), cfg.min_step)
                 continue
             t += h
-            x = np.where(active, x5, x)
-            z = np.where(active, z5, z)
-            k1 = (kx[6], kz[6])
-            big = active & (np.abs(x) > cfg.x_max)
+            y = np.where(active, y5, y)
+            k1 = ks[6]
+            big = active & (np.abs(y[0]) > cfg.x_max)
             if big.any():
                 mark(big, "left the x_max window")
-            doomed = active & field.blows_up(t, t1, x)
+            doomed = active & field.blows_up(t, t1, y[0])
             if doomed.any():
                 mark(doomed, BLOWUP_REASON)
             factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
             h = min(h * factor, h_max)
-    return x, z, escaped, reasons
+    return y[0], y[1], escaped, reasons
 
 
 def integrate(
