@@ -5,9 +5,16 @@ It integrates x' = x (C1 + C2 x + C3 x^2) with an embedded adaptive
 Runge-Kutta 5(4) pair (Dormand-Prince coefficients, FSAL), co-integrating the
 variational equation so the derivative of the displacement map comes from the
 flow itself rather than finite differences. Sweeps are vectorized over the
-initial conditions with a shared adaptive step and per-sample escape flags.
-A sample is flagged escaped as soon as a comparison bound proves that it
-blows up before the end of the span, so it stops costing steps.
+initial conditions with a shared adaptive step and per-sample escape flags;
+x and z travel as one stacked (2, n) state, so each stage of a step is one
+array operation. A sample is flagged escaped as soon as a comparison bound
+proves that it blows up before the end of the span, so it stops costing
+steps.
+
+A sign change of the displacement between grid neighbours is refined by
+safeguarded Newton on the variational d'. Once Newton's predicted error is
+below an eighth of the final bracket width, one two-sample solve either
+side of the predicted root closes the bracket.
 
 Region handling mirrors the exact classifier: the bounded fiber (0, 1/a1(0))
 when a1 starts positive, a flagged heuristic cutoff when the fiber is
@@ -495,39 +502,64 @@ def _refine_bracket(
     """Shrink the bracket between two grid neighbours with opposite signs of
     d to BISECTION_WIDTH by safeguarded Newton (rtsafe; Brent 1973): step
     -d/d' with the variational d' when that stays strictly inside the
-    bracket and is at most half the previous step, else bisect. The first
-    step starts from the end with the smaller |d| and uses the sweep's d
-    and d', so it costs no solve. x* is the midpoint of the final bracket,
-    and d' there the mean of the d' known at its ends."""
+    bracket and is at most half the previous step, else bisect. A step
+    shorter than half the width is lengthened to that, so it lands past the
+    root, and kept. The first step starts from the end with the smaller |d|
+    and uses the sweep's d and d', so it costs no solve.
+
+    The end-game: Newton's error at the predicted root r is about
+    |d''| / (2 |d'|) step^2, with d'' from the d' of the last two points.
+    Once that is at most an eighth of the width, one batch of two samples
+    at r -/+ a quarter width closes the bracket, where a converged iterate
+    would take two solves in a row. It is tried once; if both samples fall
+    on one side, the Newton steps go on from the nearer one. x* is the
+    midpoint of the final bracket, and d' there the mean of the d' known at
+    its ends."""
     lo, hi = left.x0, right.x0
     lo_positive = left.d > 0
     dp_lo, dp_hi = left.dprime, right.dprime
-    near = left if abs(left.d) <= abs(right.d) else right
+    near, far = (left, right) if abs(left.d) <= abs(right.d) else (right, left)
     x, d, dprime = near.x0, near.d, near.dprime
+    x_prev, dp_prev = far.x0, far.dprime
     last = hi - lo
+    quarter = 0.25 * BISECTION_WIDTH
+    probed = False
     while hi - lo > BISECTION_WIDTH:
         step = -d / dprime if dprime != 0.0 else math.inf
-        # lengthened, a converged iterate's next solve lands past the root;
-        # it is then longer than the step before it, and kept all the same
-        lengthened = abs(step) < 0.5 * BISECTION_WIDTH
-        if lengthened:
-            step = math.copysign(0.5 * BISECTION_WIDTH, step)
-        if lo < x + step < hi and (lengthened or abs(step) <= 0.5 * last):
-            x += step
+        root = x + step
+        spread = 2.0 * abs(dprime * (x - x_prev))
+        error = abs(dprime - dp_prev) * step * step / spread if spread > 0.0 else math.inf
+        if not probed and error <= 0.125 * BISECTION_WIDTH and lo < root - quarter < root + quarter < hi:
+            probes = [root - quarter, root + quarter]
+            probed = True
             last = abs(step)
         else:
-            x = 0.5 * (lo + hi)
-            last = 0.5 * (hi - lo)
-        xT, zT, esc, _ = _integrate_batch(field, 0.0, field.period, [x], cfg)
-        if esc[0]:
+            # lengthened, a converged iterate's next solve lands past the
+            # root; it is then longer than the step before it, and kept
+            lengthened = abs(step) < 0.5 * BISECTION_WIDTH
+            if lengthened:
+                step = math.copysign(0.5 * BISECTION_WIDTH, step)
+            if lo < x + step < hi and (lengthened or abs(step) <= 0.5 * last):
+                probes = [x + step]
+                last = abs(step)
+            else:
+                probes = [0.5 * (lo + hi)]
+                last = 0.5 * (hi - lo)
+        xT, zT, esc, _ = _integrate_batch(field, 0.0, field.period, probes, cfg)
+        if esc.any():
             break
-        d, dprime = float(xT[0]) - x, float(zT[0]) - 1.0
-        if d == 0.0:
-            return x, dprime, (x, x)
-        if (d > 0) == lo_positive:
-            lo, dp_lo = x, dprime
-        else:
-            hi, dp_hi = x, dprime
+        x_prev, dp_prev = x, dprime
+        for p, xf, zf in zip(probes, xT, zT):
+            d_p, dprime_p = float(xf) - p, float(zf) - 1.0
+            if d_p == 0.0:
+                return p, dprime_p, (p, p)
+            if not lo < p < hi:  # the second probe, when both are on one side
+                continue
+            x, d, dprime = p, d_p, dprime_p
+            if (d > 0) == lo_positive:
+                lo, dp_lo = x, dprime
+            else:
+                hi, dp_hi = x, dprime
     return 0.5 * (lo + hi), 0.5 * (dp_lo + dp_hi), (lo, hi)
 
 

@@ -17,8 +17,12 @@ default multiplier list. Each input pins what `check` and
 `golden/oracle/` pins the displacement-map oracle: what `oracle` prints and
 the per-sample CSV it writes, at the grid of `ORACLE_GRIDS`.
 `a1positive-sweep` is a clean A1Positive sweep with no cycle, so it pins
-every step of the integrator bit for bit. An expected file changes only with
-an intended output change; regenerate it with
+every step of the integrator bit for bit. `near-constant-locate` (a1 = 1,
+a2 = 3/2 - sin t/8, b2 = 1 + cos t/8) has one stable cycle near x = 0.66,
+so it also pins the bracket that cycle refinement ends with.
+
+An expected file changes only with an intended output change; regenerate
+it with
 
     abel-cycles check --input tests/golden/NAME.json > tests/golden/NAME.out
     abel-cycles transform --input tests/golden/NAME.json > tests/golden/NAME.transform.out
@@ -38,7 +42,7 @@ from abelcycles.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
-ORACLE_GRIDS = {"a1positive-sweep": 40}
+ORACLE_GRIDS = {"a1positive-sweep": 40, "near-constant-locate": 10}
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -341,9 +341,9 @@ class TestRefinement:
         solves = []
 
         def solve(field, t0, t1, x0, cfg):
-            x = x0[0]
-            solves.append(x)
-            return np.array([x + (x * x - 2.0)]), np.array([1.0 + 2.0 * x]), np.array([False]), [""]
+            x = np.asarray(x0, dtype=float)
+            solves.append(x[0])
+            return x + (x * x - 2.0), 1.0 + 2.0 * x, np.zeros(x.shape, dtype=bool), [""] * x.size
 
         def sample(x):
             return DisplacementSample(x, x * x - 2.0, 2.0 * x, False)
@@ -358,6 +358,30 @@ class TestRefinement:
         assert len(solves) <= 8
         if left == 0.1:
             assert solves[0] == 0.5 * (left + right)
+
+
+    def test_converged_iterate_closes_the_bracket_in_one_batch(self, monkeypatch):
+        # d = x^2 - 2 without integration error: once Newton's predicted
+        # error is below an eighth of the width, one two-sample solve around
+        # the predicted root is the last solve, and its samples are the ends
+        batches = []
+
+        def solve(field, t0, t1, x0, cfg):
+            x = np.asarray(x0, dtype=float)
+            batches.append(x.tolist())
+            return x + (x * x - 2.0), 1.0 + 2.0 * x, np.zeros(x.shape, dtype=bool), [""] * x.size
+
+        def sample(x):
+            return DisplacementSample(x, x * x - 2.0, 2.0 * x, False)
+
+        monkeypatch.setattr(oracle, "_integrate_batch", solve)
+        field = CubicField(linear_equation(), CFG.pole_guard)
+        x_star, _, (lo, hi) = oracle._refine_bracket(field, sample(1.0), sample(2.0), CFG)
+        assert [len(b) for b in batches] == [1] * (len(batches) - 1) + [2]
+        assert [lo, hi] == batches[-1]
+        assert hi - lo == pytest.approx(0.5 * BISECTION_WIDTH, rel=1e-3)
+        assert lo * lo - 2.0 < 0.0 < hi * hi - 2.0
+        assert x_star == 0.5 * (lo + hi)
 
 
 def assert_sweep_invariants(eq, grid: list[float]):
