@@ -311,8 +311,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**opts)
 
 
+# built once: a parser is a web of reference cycles, and parsing leaves it
+# unchanged
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "reproduce":
         return cmd_reproduce(args.example, args.out)
     try:

@@ -1,6 +1,8 @@
 """Command-line interface and input-schema handling."""
 
+import argparse
 import csv
+import gc
 import json
 import time
 from fractions import Fraction
@@ -388,3 +390,24 @@ class TestReproduce:
 
     def test_unknown_example_exits_two(self):
         assert main(["reproduce", "bogus"]) == 2
+
+
+class TestNoReferenceCycles:
+    """The parser is built once, so repeated calls of `main` leave no parser
+    for the cyclic collector to free."""
+
+    def test_repeated_main_leaves_no_parser_in_cyclic_garbage(self, gallery1, capsys):
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(3):
+                assert main(["transform", "--input", gallery1]) == 0
+            gc.collect()
+            left = [o for o in gc.garbage
+                    if isinstance(o, (argparse.ArgumentParser, argparse.HelpFormatter))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert left == []
