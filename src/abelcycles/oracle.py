@@ -529,7 +529,8 @@ def _refine_bracket(
         root = x + step
         spread = 2.0 * abs(dprime * (x - x_prev))
         error = abs(dprime - dp_prev) * step * step / spread if spread > 0.0 else math.inf
-        if not probed and error <= 0.125 * BISECTION_WIDTH and lo < root - quarter < root + quarter < hi:
+        if (not probed and error <= 0.125 * BISECTION_WIDTH
+                and lo < root - quarter < root + quarter < hi):
             probes = [root - quarter, root + quarter]
             probed = True
             last = abs(step)
