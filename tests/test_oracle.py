@@ -359,7 +359,6 @@ class TestRefinement:
         if left == 0.1:
             assert solves[0] == 0.5 * (left + right)
 
-
     def test_converged_iterate_closes_the_bracket_in_one_batch(self, monkeypatch):
         # d = x^2 - 2 without integration error: once Newton's predicted
         # error is below an eighth of the width, one two-sample solve around
