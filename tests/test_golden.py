@@ -19,7 +19,14 @@ the per-sample CSV it writes, at the grid of `ORACLE_GRIDS`.
 `a1positive-sweep` is a clean A1Positive sweep with no cycle, so it pins
 every step of the integrator bit for bit. `near-constant-locate` (a1 = 1,
 a2 = 3/2 - sin t/8, b2 = 1 + cos t/8) has one stable cycle near x = 0.66,
-so it also pins the bracket that cycle refinement ends with.
+so it also pins the bracket that cycle refinement ends with. Both have a
+positive constant a1, so C1 = b2 - a1'/a1 compiles with a constant
+denominator. `a1positive-varying-a1` (a1 = 2 + cos t/2, a2 = -1 + sin t/2,
+b2 = 1 - cos t/2; A1Positive, no cycle, no escapes) pins a C1 whose
+reduced form has a varying denominator. `constant-a1neg-locate` (a1 = -2,
+a2 = 1, b2 = -2, the locate pool's constant A1Negative input) goes through
+the reduction of `negative_component_transform`, scans both components in
+the y = a1 x chart, and pins the stable cycle y = 4.
 
 An expected file changes only with an intended output change; regenerate
 it with
@@ -42,7 +49,12 @@ from abelcycles.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
-ORACLE_GRIDS = {"a1positive-sweep": 40, "near-constant-locate": 10}
+ORACLE_GRIDS = {
+    "a1positive-sweep": 40,
+    "a1positive-varying-a1": 20,
+    "constant-a1neg-locate": 10,
+    "near-constant-locate": 10,
+}
 
 
 @pytest.mark.parametrize("name", NAMES)
