@@ -457,7 +457,7 @@ def _candidates(
     Pollack & Roy, Algorithms in Real Algebraic Geometry, 2006)."""
     yield from _DEFAULT_MULTIPLIERS
     q = _critical_multipliers(pa, pb, value_planes).squarefree_part()
-    lead = abs(int(q.primitive().leading))
+    lead = abs(q.ints[-1])
     cells = real_line_cells([q])
     for iv in cells.intervals:
         lo, hi = refine_interval(q, iv, Fraction(1, 2 * lead * lead))

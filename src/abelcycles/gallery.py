@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .abel import AbelEquation, FactoredAbel, factor_through_invariant, normalize
 from .criteria import (
+    _condition_two,
     check_at_most_one,
     check_normalized,
     check_planar_no_cycle,
@@ -203,12 +204,7 @@ def _reproduce_example1() -> ReproduceReport:
     )
     chart_a1, _ = f.a1.tan_chart()
     chart_a2 = f.a2.sign_proxy().tan_chart()[0]
-    cond2 = (
-        TrigRational.from_poly(f.a1) * f.b2
-        - f.a2
-        + TrigRational.from_poly(f.a1.derivative()).scale(EXAMPLE1_ETA)
-    )
-    chart_cond2 = cond2.sign_proxy().tan_chart()[0]
+    chart_cond2 = _condition_two(f, EXAMPLE1_ETA).sign_proxy().tan_chart()[0]
     lines.append(
         _line(
             "tangent charts of a1, a2, and the mixed condition match",

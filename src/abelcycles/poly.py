@@ -1,10 +1,11 @@
 """Exact univariate polynomials over the rationals and Sturm-based sign decisions.
 
-Everything in this module is float-free: coefficients are fractions.Fraction,
-root counting goes through Sturm chains, and sign questions over the real line
-are answered by isolating roots and sampling each cell at a rational point.
-Signs are read over the integers: each polynomial keeps its integer-primitive
-multiple, a sign at a/b is that of the homogeneous form at (a, b), and Sturm
+Everything in this module is float-free: a polynomial is a positive rational
+content times an integer-primitive coefficient tuple, root counting goes
+through Sturm chains, and sign questions over the real line are answered by
+isolating roots and sampling each cell at a rational point. Arithmetic and
+sign reads run over the integers: sums and products combine the integer
+tuples, a sign at a/b is that of the homogeneous form at (a, b), and Sturm
 chains and gcds are built from integer pseudo-remainders.
 """
 
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -112,75 +112,102 @@ def as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Dense univariate polynomial, coefficients lowest degree first."""
+    """Dense univariate polynomial over Q, stored once as content * ints.
 
-    coeffs: tuple[Fraction, ...]
+    ints holds integer coefficients, lowest degree first, with gcd 1 and no
+    trailing zero, and content is a positive Fraction; so the sign of ints
+    is that of the polynomial, and equal polynomials have equal fields and
+    equal hashes. The zero polynomial is () with content 1."""
+
+    content: Fraction
+    ints: tuple[int, ...]
+
+    @staticmethod
+    def from_ints(vs: Sequence[int], den: int = 1, num: int = 1) -> "RationalPoly":
+        """The polynomial with coefficients num * vs[i] / den, num, den > 0."""
+        vs = list(vs)
+        while vs and vs[-1] == 0:
+            vs.pop()
+        if not vs:
+            return _ZERO
+        g = math.gcd(*vs)
+        if g > 1:
+            vs = [v // g for v in vs]
+        return RationalPoly(Fraction(num * g, den), tuple(vs))
 
     @staticmethod
     def from_coeffs(cs: Iterable) -> "RationalPoly":
         coeffs = [as_fraction(c) for c in cs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return RationalPoly(tuple(coeffs))
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return RationalPoly.from_ints(
+            [c.numerator * (den // c.denominator) for c in coeffs], den
+        )
 
     @staticmethod
     def zero() -> "RationalPoly":
-        return RationalPoly(())
+        return _ZERO
 
     @staticmethod
     def constant(c) -> "RationalPoly":
         return RationalPoly.from_coeffs([c])
 
-    @staticmethod
-    def x() -> "RationalPoly":
-        return RationalPoly.from_coeffs([0, 1])
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self.content * v for v in self.ints)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def degree(self) -> int:
         # degree of the zero polynomial is reported as -1
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return RationalPoly.from_coeffs(out)
+        # content gcd(a, c) / lcm(b, d), so both multipliers are integers
+        (a, b), (c, d) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
+        g, den = math.gcd(a, c), math.lcm(b, d)
+        m, n = a // g * (den // b), c // g * (den // d)
+        out = [0] * max(len(self.ints), len(other.ints))
+        for i, v in enumerate(self.ints):
+            out[i] = m * v
+        for i, v in enumerate(other.ints):
+            out[i] += n * v
+        return RationalPoly.from_ints(out, den, g)
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly(tuple(-c for c in self.coeffs))
+        return RationalPoly(self.content, tuple(-v for v in self.ints))
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
         if self.is_zero or other.is_zero:
-            return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+            return _ZERO
+        out = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, a in enumerate(self.ints):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.ints):
                 out[i + j] += a * b
-        return RationalPoly.from_coeffs(out)
+        # a product of primitive polynomials is primitive (Gauss's lemma)
+        (a, b), (c, d) = self.content.as_integer_ratio(), other.content.as_integer_ratio()
+        return RationalPoly(Fraction(a * c, b * d), tuple(out))
 
     def scale(self, k) -> "RationalPoly":
-        k = as_fraction(k)
-        if k == 0:
-            return RationalPoly.zero()
-        return RationalPoly(tuple(c * k for c in self.coeffs))
+        n, d = as_fraction(k).as_integer_ratio()
+        if n == 0 or self.is_zero:
+            return _ZERO
+        a, b = self.content.as_integer_ratio()
+        ints = self.ints if n > 0 else tuple(-v for v in self.ints)
+        return RationalPoly(Fraction(a * abs(n), b * d), ints)
 
     def __pow__(self, n: int) -> "RationalPoly":
         if n < 0:
@@ -198,21 +225,12 @@ class RationalPoly:
     def divmod(self, other: "RationalPoly") -> tuple["RationalPoly", "RationalPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.leading
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            f = rem[-1] / dlead
-            quot[k] = f
-            for i, c in enumerate(other.coeffs):
+        rem, div = list(self.coeffs), other.coeffs
+        quot = [Fraction(0)] * max(0, len(rem) - len(div) + 1)
+        for k in reversed(range(len(quot))):
+            f = quot[k] = rem[k + len(div) - 1] / div[-1]
+            for i, c in enumerate(div):
                 rem[k + i] -= f * c
-            rem.pop()
         return RationalPoly.from_coeffs(quot), RationalPoly.from_coeffs(rem)
 
     def exact_div(self, other: "RationalPoly") -> "RationalPoly":
@@ -222,26 +240,24 @@ class RationalPoly:
         return q
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
+        a, b = self.content.as_integer_ratio()
+        return RationalPoly.from_ints([i * v for i, v in enumerate(self.ints)][1:], b, a)
 
     def evaluate(self, x) -> Fraction:
         x = as_fraction(x)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.ints):
             acc = acc * x + c
-        return acc
+        return self.content * acc
 
     def sign(self, x) -> int:
         """Exact sign of self at a rational x (an int or a Fraction).
 
-        With x = a/b and b > 0 this is the sign of b^deg * L * self(a/b),
-        L > 0 the factor behind `_ints`, taken by homogeneous Horner over
-        the integers."""
+        With x = a/b and b > 0 this is the sign of b^deg * self(a/b) /
+        content, taken by homogeneous Horner over the integers."""
         a, b = x.numerator, x.denominator
         acc, scale = 0, 1
-        for c in reversed(self._ints):
+        for c in reversed(self.ints):
             acc = acc * a + c * scale
             scale *= b
         return (acc > 0) - (acc < 0)
@@ -252,30 +268,21 @@ class RationalPoly:
             acc = acc * x + float(c)
         return acc
 
-    @cached_property
-    def _ints(self) -> tuple[int, ...]:
-        """Coefficients of the integer-primitive positive multiple of self,
-        made on first use and kept."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return _primitive([c.numerator * (den // c.denominator) for c in self.coeffs])
-
     def primitive(self) -> "RationalPoly":
         """Integer-primitive positive multiple of self (content divided out)."""
-        if self.is_zero:
-            return self
-        return _from_ints(self._ints)
+        return RationalPoly(_ONE, self.ints)
 
     def monic(self) -> "RationalPoly":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
+        return self.primitive().scale(Fraction(1, self.ints[-1]))
 
     def gcd(self, other: "RationalPoly") -> "RationalPoly":
         """Monic gcd, by the primitive remainder sequence over the integers."""
-        a, b = self._ints, other._ints
+        a, b = self.ints, other.ints
         while b:
             a, b = b, _primitive(_pseudo_remainder(a, b))
-        return _from_ints(a).monic()
+        return RationalPoly(_ONE, a).monic()
 
     def squarefree_part(self) -> "RationalPoly":
         if self.degree <= 0:
@@ -316,16 +323,8 @@ class RationalPoly:
         """Every real root lies strictly inside [-B, B]."""
         if self.degree <= 0:
             return Fraction(1)
-        lead = abs(self.leading)
-        m = max(abs(c) for c in self.coeffs[:-1])
-        return Fraction(1) + m / lead
-
-    def to_json(self) -> list[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data: Sequence[str]) -> "RationalPoly":
-        return RationalPoly.from_coeffs(data)
+        lead = abs(self.ints[-1])
+        return Fraction(lead + max(abs(v) for v in self.ints[:-1]), lead)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -349,8 +348,8 @@ def _primitive(vs: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in vs) if g > 1 else tuple(vs)
 
 
-def _from_ints(vs: Sequence[int]) -> RationalPoly:
-    return RationalPoly(tuple(Fraction(v) for v in vs))
+_ONE = Fraction(1)
+_ZERO = RationalPoly(_ONE, ())
 
 
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -384,7 +383,7 @@ def sign_at(p: RationalPoly, point: ExtendedPoint) -> int:
     if p.is_zero:
         return 0
     if isinstance(point, _Infinity):
-        s = 1 if p.leading > 0 else -1
+        s = 1 if p.ints[-1] > 0 else -1
         return -s if point.sign < 0 and p.degree % 2 == 1 else s
     return p.sign(point)
 
@@ -396,15 +395,15 @@ def _scaled_sturm_chain(p: RationalPoly) -> list[RationalPoly]:
     the integers (see _pseudo_remainder)."""
     if p.is_zero:
         return [p]
-    chain = [p._ints, _primitive([i * c for i, c in enumerate(p._ints)][1:])]
+    chain = [p.ints, _primitive([i * c for i, c in enumerate(p.ints)][1:])]
     if not chain[1]:
-        return [_from_ints(chain[0])]
+        return [p.primitive()]
     while len(chain[-1]) > 1:
         r = _pseudo_remainder(chain[-2], chain[-1])
         if not r:
             break
         chain.append(_primitive([-v for v in r]))
-    return [_from_ints(c) for c in chain]
+    return [RationalPoly(_ONE, c) for c in chain]
 
 
 def sign_variations(chain: Sequence[RationalPoly], at: ExtendedPoint) -> int:

@@ -178,19 +178,21 @@ class TrigPoly:
 
         Requires f to be homogeneous of trig degree d, i.e. each canonical
         term must satisfy i + j <= d with d - i - j even; the term is then
-        padded by (cos^2 + sin^2)^((d-i-j)/2).
+        padded by (cos^2 + sin^2)^((d-i-j)/2), and c t^j (1 + t^2)^((d-i-j)/2)
+        is expanded by binomials over the common denominator of the c.
         """
-        out = RationalPoly.zero()
-        one_plus_t2 = RationalPoly.from_coeffs([1, 0, 1])
+        den = math.lcm(*(c.denominator for _, c in self.terms))
+        out = [0] * (d + 1)
         for (i, j), c in self.terms:
             gap = d - i - j
             if gap < 0 or gap % 2:
                 raise NonHomogeneousError(
                     f"term cos^{i} sin^{j} does not fit trig degree {d}"
                 )
-            mono = RationalPoly.from_coeffs([0] * j + [c])
-            out = out + mono * one_plus_t2 ** (gap // 2)
-        return out
+            w = c.numerator * (den // c.denominator)
+            for l in range(gap // 2 + 1):
+                out[j + 2 * l] += w * _binom(gap // 2, l)
+        return RationalPoly.from_ints(out, den)
 
     def tan_chart(self) -> tuple[RationalPoly, int]:
         """tan_substitute at the smallest valid degree; requires pure parity."""
@@ -200,15 +202,21 @@ class TrigPoly:
         return self.tan_substitute(d), d
 
     def half_angle_chart(self) -> tuple[RationalPoly, int]:
-        """(N, k) with f(t) = N(u) / (1+u^2)^k for u = tan(t/2)."""
+        """(N, k) with f(t) = N(u) / (1+u^2)^k for u = tan(t/2).
+
+        A term c cos^i sin^j gives c (1 - u^2)^i (2u)^j (1 + u^2)^(k-i-j),
+        expanded by binomials over the common denominator of the c."""
         k = max(self.max_degree, 0)
-        out = RationalPoly.zero()
-        cos_u = RationalPoly.from_coeffs([1, 0, -1])  # 1 - u^2
-        sin_u = RationalPoly.from_coeffs([0, 2])  # 2u
-        one_plus = RationalPoly.from_coeffs([1, 0, 1])
+        den = math.lcm(*(c.denominator for _, c in self.terms))
+        out = [0] * (2 * k + 1)
         for (i, j), c in self.terms:
-            out = out + (cos_u**i * sin_u**j * one_plus ** (k - i - j)).scale(c)
-        return out, k
+            w = c.numerator * (den // c.denominator) << j
+            e = k - i - j
+            for a in range(i + 1):
+                wa = (-1) ** a * _binom(i, a) * w
+                for b in range(e + 1):
+                    out[j + 2 * (a + b)] += wa * _binom(e, b)
+        return RationalPoly.from_ints(out, den), k
 
     @staticmethod
     def from_half_angle(n: RationalPoly, k: int) -> "TrigPoly":
@@ -372,12 +380,8 @@ class TrigRational:
             p = p.exact_div(g)
             q = q.exact_div(g)
         # normalize so the denominator is integer-primitive with positive lead
-        qq = q.primitive()
-        factor = q.leading / qq.leading
-        if qq.leading < 0:
-            qq = qq.scale(-1)
-            factor = -factor
-        return p.scale(1 / factor), qq
+        k = _sgn(q.ints[-1]) / q.content
+        return p.scale(k), q.scale(k)
 
     def reduced(self) -> "TrigRational":
         """Cancel all common factors exactly via the half-angle chart.
@@ -670,7 +674,7 @@ def vanishing_order_at_pi(f: TrigPoly) -> int:
         raise ValueError("the zero function has no finite vanishing order")
     n, _ = rotate_half(f).half_angle_chart()
     order = 0
-    while n.coeffs[order] == 0:
+    while n.ints[order] == 0:
         order += 1
     return order
 

@@ -1,8 +1,9 @@
-"""Independent numeric oracles used to validate the exact machinery.
+"""Independent oracles used to validate the exact machinery.
 
 These deliberately avoid the package's own Sturm code paths: root counting is
 dense float sampling plus bisection, implications are dense sampling with a
-robustness margin.
+robustness margin. The chart references multiply the chart polynomials out
+term by term, by polynomial powers, instead of by binomial expansion.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from abelcycles.poly import RationalPoly
+from abelcycles.trig import TrigPoly
 
 
 def _float_coeffs(p: RationalPoly) -> np.ndarray:
@@ -117,3 +119,27 @@ def trig_grid_extrema(f, n_samples: int = 4096) -> tuple[float, float]:
     thetas = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
     vals = np.array([f.evaluate_float(t) for t in thetas])
     return float(vals.min()), float(vals.max())
+
+
+def half_angle_chart_reference(f: TrigPoly) -> tuple[RationalPoly, int]:
+    """(N, k) with f(t) = N(u) / (1+u^2)^k, as sum of
+    c (1 - u^2)^i (2u)^j (1 + u^2)^(k-i-j) over the terms of f."""
+    k = max(f.max_degree, 0)
+    out = RationalPoly.zero()
+    cos_u = RationalPoly.from_coeffs([1, 0, -1])
+    sin_u = RationalPoly.from_coeffs([0, 2])
+    one_plus = RationalPoly.from_coeffs([1, 0, 1])
+    for (i, j), c in f.terms:
+        out = out + (cos_u**i * sin_u**j * one_plus ** (k - i - j)).scale(c)
+    return out, k
+
+
+def tan_substitute_reference(f: TrigPoly, d: int) -> RationalPoly:
+    """P with f(t) = cos(t)^d P(tan t), as sum of c t^j (1 + t^2)^((d-i-j)/2)
+    over the terms of f; every term must fit degree d."""
+    out = RationalPoly.zero()
+    one_plus_t2 = RationalPoly.from_coeffs([1, 0, 1])
+    for (i, j), c in f.terms:
+        mono = RationalPoly.from_coeffs([0] * j + [c])
+        out = out + mono * one_plus_t2 ** ((d - i - j) // 2)
+    return out

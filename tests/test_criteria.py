@@ -554,22 +554,22 @@ class TestFeasibilityEngine:
     def test_root_obstruction_certificate(self):
         # x + mu*x^2 is negative near the root 1 of (t-1) shifted: use
         # pa = t - 1 with pb = t^2 - 1: pa(-1) = -2 at the root -1 of pb
-        pa = RationalPoly([-1, 1])
-        pb = RationalPoly([-1, 0, 1])
+        pa = RationalPoly.from_coeffs([-1, 1])
+        pb = RationalPoly.from_coeffs([-1, 0, 1])
         out = linear_parameter_feasible(pa, pb)
         assert out.status == "Infeasible"
         assert any(w.interval is not None for w in out.witnesses)
 
     def test_feasible_with_certificate_value(self):
         # 1 + mu*t^2 >= 0 for any mu >= 0
-        out = linear_parameter_feasible(RationalPoly([1]), RationalPoly([0, 0, 1]))
+        out = linear_parameter_feasible(RationalPoly.from_coeffs([1]), RationalPoly.from_coeffs([0, 0, 1]))
         assert out.status == "Feasible"
-        check = RationalPoly([1]) + RationalPoly([0, 0, 1]).scale(out.value)
+        check = RationalPoly.from_coeffs([1]) + RationalPoly.from_coeffs([0, 0, 1]).scale(out.value)
         assert sign_report_on_real_line(check)[0].is_nonnegative
 
     def test_contradictory_planes(self):
         # t + mu >= 0 for all t is impossible
-        out = linear_parameter_feasible(RationalPoly([0, 1]), RationalPoly([1]))
+        out = linear_parameter_feasible(RationalPoly.from_coeffs([0, 1]), RationalPoly.from_coeffs([1]))
         assert out.status == "Infeasible"
 
     def test_a_single_feasible_point(self):

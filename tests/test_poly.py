@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +68,59 @@ def gcd_reference(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     return a.monic()
 
 
+def trimmed(cs) -> list[Fraction]:
+    """A plain Fraction coefficient list without trailing zeros: the
+    reference form the tests below check RationalPoly against."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return trimmed(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def ref_divmod(a, b):
+    """Schoolbook long division of coefficient lists, b nonzero."""
+    rem = trimmed(a)
+    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        f = rem[-1] / b[-1]
+        quot[k] = f
+        for i, c in enumerate(b):
+            rem[k + i] -= f * c
+        rem = trimmed(rem)
+    return trimmed(quot), rem
+
+
+def ref_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm on coefficient lists."""
+    a, b = trimmed(a), trimmed(b)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def ref_primitive(a):
+    """The positive multiple of a with coprime integer coefficients."""
+    den = math.lcm(*(c.denominator for c in a))
+    g = math.gcd(*(c.numerator * (den // c.denominator) for c in a))
+    return [c * den / g for c in a]
+
+
 # rational coefficients: small, zero, negative, and with large denominators
 coeff = st.one_of(
     st.integers(-9, 9),
@@ -118,7 +172,8 @@ class TestIntegerSign:
 
 
 class TestIntegerRemainders:
-    """The Sturm chain and the gcd equal their Fraction-divmod references."""
+    """The Sturm chain, the gcd and the primitive part equal their
+    Fraction references."""
 
     # degrees 5, 4, 2, 1, 0: the divisor of degree 2 has a negative leading
     # coefficient and the degree drops by 2, so three eliminations scale by it
@@ -153,6 +208,15 @@ class TestIntegerRemainders:
         a, b = P(cs1) * g, P(cs2) * g
         assert a.gcd(b) == gcd_reference(a, b)
         assert b.gcd(a) == gcd_reference(b, a)
+        assert list(a.gcd(b).coeffs) == ref_gcd(a.coeffs, b.coeffs)
+
+    @given(st.lists(coeff, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_primitive_matches_reference(self, cs):
+        p = P(cs)
+        assert list(p.primitive().coeffs) == (ref_primitive(trimmed(cs)) if p.ints else [])
+        assert all(c.denominator == 1 for c in p.primitive().coeffs)
+        assert p.primitive().scale(p.content) == p
 
     def test_gcd_with_negative_leads_and_degree_gaps(self):
         common = P([3, -1, 0, 2])  # 2x^3 - x + 3
@@ -166,6 +230,50 @@ class TestIntegerRemainders:
 
 
 class TestArithmetic:
+    """Ring operations, division, derivative and bounds equal their plain
+    Fraction coefficient-list references, and equal polynomials built in
+    different ways compare and hash equal."""
+
+    @given(st.lists(coeff, max_size=7), st.lists(coeff, max_size=7), coeff)
+    @settings(max_examples=300, deadline=None)
+    def test_operations_match_fraction_lists(self, cs1, cs2, k):
+        a, b = trimmed(cs1), trimmed(cs2)
+        p, q = P(cs1), P(cs2)
+        assert list(p.coeffs) == a
+        assert list((p + q).coeffs) == ref_add(a, b)
+        assert list((p - q).coeffs) == ref_add(a, [-c for c in b])
+        assert list((-p).coeffs) == [-c for c in a]
+        assert list((p * q).coeffs) == ref_mul(a, b)
+        assert list(p.scale(k).coeffs) == trimmed(c * k for c in a)
+        assert list(p.derivative().coeffs) == trimmed(i * c for i, c in enumerate(a))[1:]
+        if a:
+            assert p.leading == a[-1]
+            assert p.degree == len(a) - 1
+        if len(a) > 1:
+            bound = 1 + max(abs(c) for c in a[:-1]) / abs(a[-1])
+            assert p.cauchy_bound() == bound
+        if b:
+            quo, rem = p.divmod(q)
+            assert (list(quo.coeffs), list(rem.coeffs)) == ref_divmod(a, b)
+            assert list((p * q).exact_div(q).coeffs) == a
+
+    @given(st.lists(coeff, max_size=7), coeff)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_polynomials_have_equal_fields_and_hashes(self, cs, k):
+        p = P(cs)
+        monomials = RationalPoly.zero()
+        for i, c in enumerate(cs):
+            monomials = monomials + P([0] * i + [c])
+        others = [P(list(cs) + [0, 0]), monomials, p + P([1]) - P([1]), p * P([1])]
+        if k != 0:
+            others.append(P([c * k for c in cs]).scale(1 / Fraction(k)))
+            others.append(p.scale(k).scale(1 / Fraction(k)))
+        for q in others:
+            assert q == p
+            assert hash(q) == hash(p)
+            assert (q.content, q.ints) == (p.content, p.ints)
+        assert p.content > 0
+
     def test_divmod_exact(self):
         num = P([-1, 0, 1])  # x^2 - 1
         q, r = num.divmod(P([-1, 1]))

@@ -32,7 +32,11 @@ from abelcycles.trig import (
     has_odd_order_pole,
     vanishing_order_at_pi,
 )
-from oracles import trig_grid_extrema
+from oracles import (
+    half_angle_chart_reference,
+    tan_substitute_reference,
+    trig_grid_extrema,
+)
 
 F = Fraction
 
@@ -162,6 +166,19 @@ class TestTangentChart:
             (TrigPoly.coswave() + TrigPoly.constant(1)).tan_chart()
 
     @given(
+        st.integers(0, 1),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), small_fracs()), max_size=8),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_product_expansion(self, parity, raw, pad):
+        # every i + j of one parity, so f has a tangent chart
+        f = TrigPoly.from_terms((i, j + (i + j + parity) % 2, c) for i, j, c in raw)
+        p, d = f.tan_chart()
+        assert p == tan_substitute_reference(f, d)
+        assert f.tan_substitute(d + 2 * pad) == tan_substitute_reference(f, d + 2 * pad)
+
+    @given(
         trig_polys(max_power=3, max_terms=4),
         st.fractions(min_value=-10, max_value=10, max_denominator=10),
     )
@@ -182,6 +199,11 @@ class TestHalfAngleChart:
     def test_roundtrip_is_identity(self, f):
         n, k = f.half_angle_chart()
         assert TrigPoly.from_half_angle(n, k) == f
+
+    @given(trig_polys(max_power=6, max_terms=8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_product_expansion(self, f):
+        assert f.half_angle_chart() == half_angle_chart_reference(f)
 
     @given(trig_polys(max_power=3, max_terms=4), st.fractions(max_denominator=10))
     @settings(max_examples=60, deadline=None)
