@@ -36,7 +36,13 @@ from .criteria import (
     obstruction_report,
 )
 from .gallery import reproduce
-from .oracle import IntegratorConfig, count_cycles_in_V, write_displacement_csv
+from .oracle import (
+    DEFAULT_GRID,
+    DisplacementSample,
+    IntegratorConfig,
+    count_cycles_in_V,
+    write_displacement_csv,
+)
 from .planar import (
     HomogeneousSystem,
     PlanarPolySystem,
@@ -46,7 +52,7 @@ from .planar import (
     detect_rigid,
     rigid_to_abel,
 )
-from .serialize import ParsedInput, SchemaError, dumps, load_input, write_json
+from .serialize import ParsedInput, SchemaError, dumps, load_input
 from .trig import TrigPoly
 
 EXIT_HOLDS = 0
@@ -62,9 +68,9 @@ class RunConfig:
     input: Optional[str] = None
     criteria: Optional[tuple[str, ...]] = None
     eta: Optional[Fraction] = None
-    grid: int = 400
-    rtol: float = 1.0e-10
-    atol: float = 1.0e-12
+    grid: int = DEFAULT_GRID
+    rtol: float = IntegratorConfig.rtol
+    atol: float = IntegratorConfig.atol
     out: Optional[str] = None
 
 
@@ -72,9 +78,31 @@ class UsageError(ValueError):
     pass
 
 
+# the errors of reading and reducing an input, each reported as exit 2
+INPUT_ERRORS = (SchemaError, UsageError, OSError, RigidStructureError,
+                RiccatiRouteError, InvarianceError, ValueError)
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INAPPLICABLE
+
+
+def _emit(text: str, code: int, out: Optional[str], saved: Optional[str] = None,
+          samples: Optional[Sequence[DisplacementSample]] = None) -> int:
+    """Write saved (by default text) to out, and the samples' CSV beside it,
+    then text to stdout, and return code. A file that cannot be written
+    ends with exit 2 and nothing on stdout."""
+    if out:
+        try:
+            with open(out, "w") as handle:
+                handle.write(text if saved is None else saved)
+            if samples is not None:
+                write_displacement_csv(samples, out.removesuffix(".json") + ".csv")
+        except OSError as exc:
+            return _fail(str(exc))
+    sys.stdout.write(text)
+    return code
 
 
 def _resolve_factored(parsed: ParsedInput) -> FactoredAbel:
@@ -172,8 +200,7 @@ def cmd_check(cfg: RunConfig) -> int:
     try:
         parsed = load_input(cfg.input)
         verdicts, obstructions, equation = _run_criteria(parsed, cfg)
-    except (SchemaError, UsageError, OSError, RigidStructureError,
-            RiccatiRouteError, InvarianceError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc))
     code = _exit_from_verdicts(verdicts)
     bundle = {
@@ -184,12 +211,7 @@ def cmd_check(cfg: RunConfig) -> int:
     }
     if obstructions is not None:
         bundle["obstructions"] = obstructions
-    text = dumps(bundle)
-    sys.stdout.write(text)
-    if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write(text)
-    return code
+    return _emit(dumps(bundle), code, cfg.out)
 
 
 def cmd_transform(cfg: RunConfig) -> int:
@@ -205,15 +227,9 @@ def cmd_transform(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"residual: {exc.residual.to_json()}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (SchemaError, UsageError, OSError, RigidStructureError,
-            RiccatiRouteError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc))
-    text = dumps(data)
-    sys.stdout.write(text)
-    if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write(text)
-    return EXIT_HOLDS
+    return _emit(dumps(data), EXIT_HOLDS, cfg.out)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -223,18 +239,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
         parsed = load_input(cfg.input)
         f = _resolve_factored(parsed)
         icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
-    except (SchemaError, UsageError, OSError, RigidStructureError,
-            RiccatiRouteError, InvarianceError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         return _fail(str(exc))
     report = count_cycles_in_V(f, icfg, grid_density=cfg.grid)
-    text = dumps(report.to_json())
-    sys.stdout.write(text)
-    if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write(text)
-        csv_path = cfg.out + ".csv" if not cfg.out.endswith(".json") else cfg.out[:-5] + ".csv"
-        write_displacement_csv(report.samples, csv_path)
-    return EXIT_HOLDS
+    return _emit(dumps(report.to_json()), EXIT_HOLDS, cfg.out, samples=report.samples)
 
 
 def cmd_reproduce(example_id: str, out: Optional[str] = None) -> int:
@@ -243,14 +251,14 @@ def cmd_reproduce(example_id: str, out: Optional[str] = None) -> int:
     except KeyError as exc:
         return _fail(str(exc))
     width = max(len(line.name) for line in report.lines)
+    table = []
     for line in report.lines:
         status = "PASS" if line.passed else "FAIL"
         suffix = f"  [{line.detail}]" if line.detail else ""
-        print(f"{status}  {line.name.ljust(width)}{suffix}")
-    print(f"{'ok' if report.ok else 'MISMATCH'}: {example_id}")
-    if out:
-        write_json(report.to_json(), out)
-    return EXIT_HOLDS if report.ok else EXIT_FAILS
+        table.append(f"{status}  {line.name.ljust(width)}{suffix}\n")
+    table.append(f"{'ok' if report.ok else 'MISMATCH'}: {example_id}\n")
+    code = EXIT_HOLDS if report.ok else EXIT_FAILS
+    return _emit("".join(table), code, out, saved=dumps(report.to_json()))
 
 
 _OPTIONS = {

@@ -49,6 +49,7 @@ from .poly import (
     as_fraction,
     count_distinct_roots,
     find_strict_interval,
+    frac_str,
     isolate_real_roots,
     real_line_cells,
     refine_interval,
@@ -82,12 +83,6 @@ class Bound(str, Enum):
 class Branch(str, Enum):
     POSITIVE = "PositiveBranch"
     NEGATIVE = "NegativeBranch"
-
-
-def _frac_str(x: Optional[Fraction]) -> Optional[str]:
-    if x is None:
-        return None
-    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
@@ -124,11 +119,11 @@ class Witness:
     def to_json(self) -> dict:
         out: dict = {"condition": self.condition, "chart": self.chart}
         if self.point is not None:
-            out["point"] = _frac_str(self.point)
+            out["point"] = frac_str(self.point)
         if self.interval is not None:
-            out["interval"] = [_frac_str(self.interval[0]), _frac_str(self.interval[1])]
+            out["interval"] = [frac_str(self.interval[0]), frac_str(self.interval[1])]
         if self.circle is not None:
-            out["circle"] = {"cos": _frac_str(self.circle[0]), "sin": _frac_str(self.circle[1])}
+            out["circle"] = {"cos": frac_str(self.circle[0]), "sin": frac_str(self.circle[1])}
         out["theta"] = self.theta()
         return out
 
@@ -157,7 +152,7 @@ class StrictnessEvidence:
         return {
             "condition": self.condition,
             "chart": self.chart,
-            "interval": [_frac_str(self.lo), _frac_str(self.hi)],
+            "interval": [frac_str(self.lo), frac_str(self.hi)],
             "theta_interval": list(self.theta_interval()),
         }
 
@@ -189,7 +184,7 @@ class CriterionVerdict:
             "outcome": self.outcome.value,
             "bound": self.bound.value if self.bound else None,
             "branch": self.branch.value if self.branch else None,
-            "eta": _frac_str(self.eta),
+            "eta": frac_str(self.eta) if self.eta is not None else None,
             "witnesses": [w.to_json() for w in self.witnesses],
             "strictness_evidence": self.strictness.to_json() if self.strictness else None,
             "notes": self.notes,

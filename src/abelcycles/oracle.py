@@ -9,7 +9,9 @@ initial conditions with a shared adaptive step and per-sample escape flags;
 x and z travel as one stacked (2, n) state, so each stage of a step is one
 array operation. A sample is flagged escaped as soon as a comparison bound
 proves that it blows up before the end of the span, so it stops costing
-steps.
+steps. Only the tolerances rtol and atol are settable (IntegratorConfig);
+the largest step, the pole guard, the x window, the smallest step and the
+step budget are module constants.
 
 A sign change of the displacement between grid neighbours is refined by
 safeguarded Newton on the variational d'. Once Newton's predicted error is
@@ -27,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -45,6 +47,16 @@ Equation = Union[AbelEquation, FactoredAbel]
 UNBOUNDED_FIBER_CUTOFF = 1.0e3  # heuristic: no a priori amplitude bound
 NONHYPERBOLIC_MARGIN = 1.0e-6
 BISECTION_WIDTH = 1.0e-10
+DEFAULT_GRID = 400  # grid points per fiber component
+
+# integrator limits: the largest step as a fraction of the span, the margin
+# within which a coefficient denominator counts as a pole, the window
+# |x| <= X_MAX, the smallest step, and the steps allowed per solve
+MAX_STEP_FRACTION = 0.05
+POLE_GUARD = 1.0e-6
+X_MAX = 1.0e6
+MIN_STEP = 1.0e-13
+MAX_STEPS = 500_000
 
 # comparison bound for blow-up: the circle is cut into _ARCS equal arcs, and a
 # window of _WINDOW arcs bounds the coefficients on the way to infinity
@@ -61,11 +73,6 @@ BLOWUP_REASON = "blows up before t1 (comparison bound)"
 class IntegratorConfig:
     rtol: float = 1.0e-10
     atol: float = 1.0e-12
-    max_step_fraction: float = 0.05
-    pole_guard: float = 1.0e-6
-    x_max: float = 1.0e6
-    min_step: float = 1.0e-13
-    max_steps: int = 500_000
 
     def __post_init__(self):
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
@@ -73,17 +80,6 @@ class IntegratorConfig:
                 f"tolerances must be positive and finite, got rtol={self.rtol!r}, "
                 f"atol={self.atol!r}"
             )
-        if self.pole_guard <= 0:
-            raise ValueError("the pole-guard margin must be positive")
-
-
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: float
-    variation: float
-    escaped: bool
-    reason: str = ""
-    t_reached: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -92,14 +88,6 @@ class DisplacementSample:
     d: float
     dprime: float
     escaped: bool
-
-    def to_json(self) -> dict:
-        return {
-            "x0": self.x0,
-            "d": self.d,
-            "dprime": self.dprime,
-            "escaped": self.escaped,
-        }
 
 
 @dataclass(frozen=True)
@@ -184,16 +172,16 @@ def _arc_range(terms: tuple) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _arc_bounds(coeffs: list, guard: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _arc_bounds(coeffs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per arc, A1 >= |C1|, A2 >= |C2| and m <= C3. m is 0 on an arc where a
-    denominator may come within the guard of zero, or where C3 has no
+    denominator may come within POLE_GUARD of zero, or where C3 has no
     positive lower bound."""
     bounds = []
     poles = np.zeros(_ARCS, dtype=bool)
     for num, den in coeffs:
         n_lo, n_hi = _arc_range(num)
         d_lo, d_hi = _arc_range(den)
-        sign = np.where(d_lo > guard, 1.0, np.where(d_hi < -guard, -1.0, 0.0))
+        sign = np.where(d_lo > POLE_GUARD, 1.0, np.where(d_hi < -POLE_GUARD, -1.0, 0.0))
         poles |= sign == 0.0
         d_min = np.where(sign > 0, d_lo, -d_hi)
         d_max = np.where(sign > 0, d_hi, -d_lo)
@@ -209,18 +197,17 @@ class CubicField:
     """Float evaluator of the cubic right-hand side and its x-derivative,
     with the comparison bound that proves blow-up."""
 
-    def __init__(self, eq: Equation, guard: float):
+    def __init__(self, eq: Equation):
         abel = eq.to_abel() if isinstance(eq, FactoredAbel) else eq
         self.coeffs = [
             _compile_rational(abel.c1),
             _compile_rational(abel.c2),
             _compile_rational(abel.c3),
         ]
-        self.guard = guard
         self.period = abel.period.value_float
         # over the window of arcs k .. k + _WINDOW - 1, C3 >= rate[k] and
         # |x| >= radius[k] gives |x|' >= (rate/2) |x|^3
-        a1, a2, m = _arc_bounds(self.coeffs, guard)
+        a1, a2, m = _arc_bounds(self.coeffs)
         rate, big1, big2 = m, a1, a2
         for w in range(1, _WINDOW):
             rate = np.minimum(rate, np.roll(m, -w))
@@ -239,7 +226,7 @@ class CubicField:
             dv = 0.0
             for i, j, co in den:
                 dv += co * c**i * s**j
-            if abs(dv) <= self.guard:
+            if abs(dv) <= POLE_GUARD:
                 raise _PoleGuard(f"coefficient denominator below guard at t={t:.6g}")
             nv = 0.0
             for i, j, co in num:
@@ -313,7 +300,7 @@ def _integrate_batch(
     span = t1 - t0
     if span <= 0:
         return y[0], y[1], escaped, reasons
-    h_max = span * cfg.max_step_fraction
+    h_max = span * MAX_STEP_FRACTION
     h = h_max / 8
     t = t0
     active = np.ones(x.shape, dtype=bool)
@@ -326,7 +313,7 @@ def _integrate_batch(
         active[mask] = False
 
     with np.errstate(all="ignore"):
-        big = np.abs(y[0]) > cfg.x_max
+        big = np.abs(y[0]) > X_MAX
         mark(big, "initial condition beyond x_max")
         mark(active & field.blows_up(t, t1, y[0]), BLOWUP_REASON)
         try:
@@ -338,7 +325,7 @@ def _integrate_batch(
         steps = 0
         while t < t1 - 1e-14 * span and active.any():
             steps += 1
-            if steps > cfg.max_steps:
+            if steps > MAX_STEPS:
                 mark(active.copy(), "step budget exhausted")
                 break
             h = min(h, t1 - t)
@@ -351,7 +338,7 @@ def _integrate_batch(
                     ks.append(field(t + _DP_C[stage] * h, ya[0], ya[1]))
             except _PoleGuard as exc:
                 h *= 0.25
-                if h < cfg.min_step:
+                if h < MIN_STEP:
                     mark(active.copy(), str(exc))
                     break
                 continue
@@ -367,18 +354,18 @@ def _integrate_batch(
             ratio = np.where(finite, ratio, np.inf)
             enorm = float(ratio.max(initial=0.0, where=active))
             if enorm > 1.0 or bad.any():
-                if h <= cfg.min_step * 1.0001:
+                if h <= MIN_STEP * 1.0001:
                     # cannot shrink further: drop the offending samples, keep
                     # the rest moving
                     worst = active & (ratio > 1.0)
                     mark(worst, "step-size underflow (blow-up or stiffness)")
                     continue
-                h = max(h * max(0.2, 0.9 * enorm ** (-0.2) if enorm > 0 else 0.2), cfg.min_step)
+                h = max(h * max(0.2, 0.9 * enorm ** (-0.2) if enorm > 0 else 0.2), MIN_STEP)
                 continue
             t += h
             y = np.where(active, y5, y)
             k1 = ks[6]
-            big = active & (np.abs(y[0]) > cfg.x_max)
+            big = active & (np.abs(y[0]) > X_MAX)
             if big.any():
                 mark(big, "left the x_max window")
             doomed = active & field.blows_up(t, t1, y[0])
@@ -389,30 +376,6 @@ def _integrate_batch(
     return y[0], y[1], escaped, reasons
 
 
-def integrate(
-    eq: Equation,
-    x0: float,
-    t0: float,
-    t1: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> IntegrationResult:
-    """Solve from (t0, x0) to t1; escape (x_max, pole guard, step
-    underflow, or proven blow-up) is reported, not raised."""
-    field = CubicField(eq, cfg.pole_guard)
-    x, z, esc, reasons = _integrate_batch(field, t0, t1, [x0], cfg)
-    return IntegrationResult(
-        value=float(x[0]),
-        variation=float(z[0]),
-        escaped=bool(esc[0]),
-        reason=reasons[0],
-        t_reached=t1 if not esc[0] else math.nan,
-    )
-
-
-def _field_of(eq: Union[Equation, CubicField], cfg: IntegratorConfig) -> CubicField:
-    return eq if isinstance(eq, CubicField) else CubicField(eq, cfg.pole_guard)
-
-
 def displacement_map(
     eq: Union[Equation, CubicField],
     grid: Sequence[float],
@@ -421,8 +384,8 @@ def displacement_map(
     """One displacement sample per initial condition: d = u(T, x0) - x0 and
     d' from the variational factor, both NaN for an escaped sample. The
     whole grid is one batch, so a sweep is bitwise repeatable. `eq` may be
-    a CubicField already built for the equation with cfg's pole guard."""
-    field = _field_of(eq, cfg)
+    a CubicField already built for the equation."""
+    field = eq if isinstance(eq, CubicField) else CubicField(eq)
     xs = np.asarray(list(grid), dtype=float)
     xT, zT, esc, _ = _integrate_batch(field, 0.0, field.period, xs, cfg)
     out = []
@@ -567,7 +530,7 @@ def _refine_bracket(
 def count_cycles_in_V(
     f: FactoredAbel,
     cfg: IntegratorConfig = IntegratorConfig(),
-    grid_density: int = 400,
+    grid_density: int = DEFAULT_GRID,
 ) -> CycleReport:
     """Scan every component of V's fiber at t=0, bracket the sign changes of
     the displacement map, refine each bracket by safeguarded Newton, and
@@ -579,7 +542,7 @@ def count_cycles_in_V(
     sign_changes = 0
     swept: list[DisplacementSample] = []
     for label, eq, lo, hi in comps:
-        field = CubicField(eq, cfg.pole_guard)
+        field = CubicField(eq)
         samples = displacement_map(field, component_grid(region, lo, hi, grid_density), cfg)
         swept.extend(samples)
         for s in samples:
@@ -611,72 +574,9 @@ def count_cycles_in_V(
     )
 
 
-def verify_invariance(
-    f: FactoredAbel,
-    curve: str,
-    cfg: IntegratorConfig = IntegratorConfig(),
-    theta_range: Optional[tuple[float, float]] = None,
-    checkpoints: int = 64,
-) -> float:
-    """Maximum deviation of the named invariant curve along a trajectory
-    started on it: |u(t)| for curve 'zero', |a1(t) u(t) - 1| for curve 'a1'.
-
-    For 'a1' the range must keep a1 bounded away from zero; the sweep stops
-    (returning the maximum so far) if the trajectory escapes.
-    """
-    if curve not in ("zero", "a1"):
-        raise ValueError("curve must be 'zero' or 'a1'")
-    period = f.period.value_float
-    t_lo, t_hi = theta_range if theta_range is not None else (0.0, period)
-    if curve == "zero":
-        x0 = 0.0
-    else:
-        a1_start = f.a1.evaluate_float(t_lo)
-        if abs(a1_start) < 10 * cfg.pole_guard:
-            raise ValueError("a1 vanishes at the start of the requested range")
-        x0 = 1.0 / a1_start
-    field = CubicField(f, cfg.pole_guard)
-    ts = [t_lo + (t_hi - t_lo) * k / checkpoints for k in range(checkpoints + 1)]
-    worst = 0.0
-    x = np.array([x0])
-    for ta, tb in zip(ts, ts[1:]):
-        x, _, esc, _ = _integrate_batch(field, ta, tb, x, cfg)
-        if esc[0]:
-            break
-        if curve == "zero":
-            dev = abs(float(x[0]))
-        else:
-            dev = abs(f.a1.evaluate_float(tb) * float(x[0]) - 1.0)
-        worst = max(worst, dev)
-    return worst
-
-
 def write_displacement_csv(samples: Sequence[DisplacementSample], path: str):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x0", "d", "dprime", "escaped"])
         for s in samples:
             writer.writerow([repr(s.x0), repr(s.d), repr(s.dprime), int(s.escaped)])
-
-
-def stability_integral(f: FactoredAbel, eta: float = 0.0, panels: int = 4096) -> float:
-    """Numeric value of exp(integral of a1 b2 - a2 + eta a1'/a1) - 1 over one
-    period; in the two-component region its sign matches the measured
-    stability of the cycle riding the a1 curve."""
-    period = f.period.value_float
-    a1_prime = f.a1.derivative()
-
-    def value(theta: float) -> float:
-        a1v = f.a1.evaluate_float(theta)
-        b2n = f.b2.num.evaluate_float(theta)
-        b2d = f.b2.den.evaluate_float(theta)
-        a2n = f.a2.num.evaluate_float(theta)
-        a2d = f.a2.den.evaluate_float(theta)
-        da1 = a1_prime.evaluate_float(theta)
-        return a1v * b2n / b2d - a2n / a2d + eta * da1 / a1v
-
-    total = 0.0
-    h = period / panels
-    for k in range(panels):
-        total += value((k + 0.5) * h) * h
-    return math.exp(total) - 1.0

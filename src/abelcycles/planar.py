@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .abel import AbelEquation, FactoredAbel
-from .poly import MAX_DEGREE, as_fraction
+from .poly import MAX_DEGREE, as_fraction, frac_str
 from .trig import TrigPoly, TrigRational
 
 
@@ -95,7 +95,7 @@ class BivariatePoly:
 
     def to_json(self) -> list[dict]:
         return [
-            {"i": i, "j": j, "c": f"{c.numerator}/{c.denominator}"}
+            {"i": i, "j": j, "c": frac_str(c)}
             for (i, j), c in self.terms
         ]
 
@@ -260,7 +260,7 @@ class HomogeneousSystem:
 
     def to_json(self) -> dict:
         return {
-            "a": f"{self.a.numerator}/{self.a.denominator}",
+            "a": frac_str(self.a),
             "n": self.n,
             "P": self.p.to_json(),
             "Q": self.q.to_json(),

@@ -110,6 +110,11 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {x!r}")
 
 
+def frac_str(x: Fraction) -> str:
+    """The text 'p/q' of a rational, the format that as_fraction parses."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True)
 class RationalPoly:
     """Dense univariate polynomial over Q, stored once as content * ints.

@@ -102,8 +102,3 @@ def load_input(path: str) -> ParsedInput:
 def dumps(data) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def write_json(data, path: str):
-    with open(path, "w") as handle:
-        handle.write(dumps(data))

@@ -35,6 +35,7 @@ from .poly import (
     SignOnSet,
     as_fraction,
     count_distinct_roots,
+    frac_str,
     join_sign_sets,
     real_line_cells,
     sign_report_on_real_line,
@@ -252,7 +253,7 @@ class TrigPoly:
 
     def to_json(self) -> list[dict]:
         return [
-            {"i": i, "j": j, "c": f"{c.numerator}/{c.denominator}"}
+            {"i": i, "j": j, "c": frac_str(c)}
             for (i, j), c in self.terms
         ]
 
@@ -278,12 +279,6 @@ class TrigPoly:
                 bit += "*s"
             parts.append(bit)
         return "Trig(" + " + ".join(parts) + ")"
-
-
-def circle_point(u: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational point (cos t, sin t) for u = tan(t/2)."""
-    d = 1 + u * u
-    return (1 - u * u) / d, 2 * u / d
 
 
 class PoleError(ZeroDivisionError):

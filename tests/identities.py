@@ -6,6 +6,7 @@ criteria: the cubic right-hand side as a polynomial in x, the cofactors of
 the invariant curves x = 0 and a1 x = 1, the stability quadratic with the
 constant tail of its Sturm chain, the inverse of the normalization map, and
 the unscaled Sturm chain whose tail these closed forms are compared with.
+Exact values are taken at rational circle points.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from typing import Iterable, Union
 from abelcycles.abel import AbelEquation, FactoredAbel, NormalizedAbel
 from abelcycles.poly import RationalPoly, as_fraction
 from abelcycles.trig import TrigPoly, TrigRational
+
+
+def circle_point(u: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational point (cos t, sin t) for u = tan(t/2)."""
+    d = 1 + u * u
+    return (1 - u * u) / d, 2 * u / d
 
 
 def as_trig_rational(f) -> TrigRational:

@@ -3,13 +3,20 @@
 These deliberately avoid the package's own Sturm code paths: root counting is
 dense float sampling plus bisection, implications are dense sampling with a
 robustness margin. The chart references multiply the chart polynomials out
-term by term, by polynomial powers, instead of by binomial expansion.
+term by term, by polynomial powers, instead of by binomial expansion. The
+numerical checks follow a trajectory started on an invariant curve, and
+integrate the stability integral of the a1 curve by the midpoint rule.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 import numpy as np
 
+from abelcycles.abel import FactoredAbel
+from abelcycles.oracle import POLE_GUARD, CubicField, IntegratorConfig, _integrate_batch
 from abelcycles.poly import RationalPoly
 from abelcycles.trig import TrigPoly
 
@@ -143,3 +150,66 @@ def tan_substitute_reference(f: TrigPoly, d: int) -> RationalPoly:
         mono = RationalPoly.from_coeffs([0] * j + [c])
         out = out + mono * one_plus_t2 ** ((d - i - j) // 2)
     return out
+
+
+def verify_invariance(
+    f: FactoredAbel,
+    curve: str,
+    cfg: IntegratorConfig = IntegratorConfig(),
+    theta_range: Optional[tuple[float, float]] = None,
+    checkpoints: int = 64,
+) -> float:
+    """Maximum deviation of the named invariant curve along a trajectory
+    started on it: |u(t)| for curve 'zero', |a1(t) u(t) - 1| for curve 'a1'.
+
+    For 'a1' the range must keep a1 bounded away from zero; the sweep stops
+    (returning the maximum so far) if the trajectory escapes.
+    """
+    if curve not in ("zero", "a1"):
+        raise ValueError("curve must be 'zero' or 'a1'")
+    period = f.period.value_float
+    t_lo, t_hi = theta_range if theta_range is not None else (0.0, period)
+    if curve == "zero":
+        x0 = 0.0
+    else:
+        a1_start = f.a1.evaluate_float(t_lo)
+        if abs(a1_start) < 10 * POLE_GUARD:
+            raise ValueError("a1 vanishes at the start of the requested range")
+        x0 = 1.0 / a1_start
+    field = CubicField(f)
+    ts = [t_lo + (t_hi - t_lo) * k / checkpoints for k in range(checkpoints + 1)]
+    worst = 0.0
+    x = np.array([x0])
+    for ta, tb in zip(ts, ts[1:]):
+        x, _, esc, _ = _integrate_batch(field, ta, tb, x, cfg)
+        if esc[0]:
+            break
+        if curve == "zero":
+            dev = abs(float(x[0]))
+        else:
+            dev = abs(f.a1.evaluate_float(tb) * float(x[0]) - 1.0)
+        worst = max(worst, dev)
+    return worst
+
+
+def stability_integral(f: FactoredAbel, eta: float = 0.0, panels: int = 4096) -> float:
+    """Numeric value of exp(integral of a1 b2 - a2 + eta a1'/a1) - 1 over one
+    period; in the two-component region its sign matches the measured
+    stability of the cycle riding the a1 curve."""
+    period = f.period.value_float
+    a1_prime = f.a1.derivative()
+
+    def value(theta: float) -> float:
+        a1v = f.a1.evaluate_float(theta)
+        b2n = f.b2.num.evaluate_float(theta)
+        b2d = f.b2.den.evaluate_float(theta)
+        a2n = f.a2.num.evaluate_float(theta)
+        a2d = f.a2.den.evaluate_float(theta)
+        da1 = a1_prime.evaluate_float(theta)
+        return a1v * b2n / b2d - a2n / a2d + eta * da1 / a1v
+
+    total = 0.0
+    h = period / panels
+    for k in range(panels):
+        total += value((k + 0.5) * h) * h
+    return math.exp(total) - 1.0

@@ -21,11 +21,12 @@ from abelcycles.abel import (
     riccati_bound_applies,
 )
 from abelcycles.poly import RationalPoly
-from abelcycles.trig import Period, TrigPoly, TrigRational, circle_point
+from abelcycles.trig import Period, TrigPoly, TrigRational
 from data import EX1_A1, EX1_A2, EX1_B2, EX1_C1, EX1_C2, EX1_C3, EX1_COMBINATION
 from identities import (
     CombinationParams,
     XPoly,
+    circle_point,
     cofactors,
     denormalize,
     rhs,

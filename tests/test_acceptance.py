@@ -28,7 +28,6 @@ from abelcycles.oracle import (
     count_cycles_in_V,
     displacement_map,
     graded_grid,
-    verify_invariance,
 )
 from abelcycles.planar import (
     BivariatePoly,
@@ -63,6 +62,7 @@ from data import (
     RIGID_P_TERMS,
     random_instance,
 )
+from oracles import verify_invariance
 
 F = Fraction
 CFG = IntegratorConfig()

@@ -17,6 +17,7 @@ from abelcycles.gallery import (
     example1_factored,
     example1_input,
     example2_input,
+    reproduce,
 )
 from abelcycles.oracle import component_grid, displacement_map, fiber_components
 from abelcycles.serialize import SchemaError, detect_schema, dumps, parse_input
@@ -390,6 +391,34 @@ class TestReproduce:
 
     def test_unknown_example_exits_two(self):
         assert main(["reproduce", "bogus"]) == 2
+
+
+class TestUnwritableOut:
+    """--out under a missing directory is an input error: exit 2 and an
+    error line, with no exception out of main and nothing on stdout."""
+
+    @pytest.mark.parametrize("command", ["check", "transform", "oracle", "reproduce"])
+    def test_exits_two_with_nothing_on_stdout(self, command, tmp_path, capsys):
+        path = tmp_path / "constants.json"
+        path.write_text(dumps(constants_factored_json()))
+        out = tmp_path / "missing" / "out.json"
+        if command == "reproduce":
+            argv = ["reproduce", "example2"]
+        else:
+            argv = [command, "--input", str(path)]
+        if command == "oracle":
+            argv += ["--grid", "2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_reproduce_writes_its_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["reproduce", "example2", "--out", str(out)]) == 0
+        assert out.read_text() == dumps(reproduce("example2").to_json())
+        assert capsys.readouterr().out.endswith("ok: example2\n")
 
 
 class TestNoReferenceCycles:

@@ -22,15 +22,13 @@ from abelcycles.oracle import (
     count_cycles_in_V,
     displacement_map,
     graded_grid,
-    integrate,
-    stability_integral,
-    verify_invariance,
     write_displacement_csv,
 )
 from abelcycles.planar import HomogeneousSystem, cherkas_transform
 from abelcycles.trig import TrigPoly, TrigRational
 
 from data import EX1_A1, EX1_A2, EX1_B2, random_instance
+from oracles import stability_integral, verify_invariance
 
 CFG = IntegratorConfig()
 
@@ -60,24 +58,28 @@ def linear_equation() -> AbelEquation:
 
 class TestIntegrator:
     def test_linear_growth_matches_exp(self):
-        r = integrate(linear_equation(), 1.0, 0.0, 1.0, CFG)
-        assert not r.escaped
-        assert abs(r.value - math.e) < 1e-8
+        field = CubicField(linear_equation())
+        x, _, esc, _ = oracle._integrate_batch(field, 0.0, 1.0, [1.0], CFG)
+        assert not esc[0]
+        assert abs(x[0] - math.e) < 1e-8
 
     def test_tolerance_halving_improves_accuracy(self):
         loose = IntegratorConfig(rtol=1e-6, atol=1e-8)
         tight = IntegratorConfig(rtol=1e-12, atol=1e-14)
-        err_loose = abs(integrate(linear_equation(), 1.0, 0.0, 1.0, loose).value - math.e)
-        err_tight = abs(integrate(linear_equation(), 1.0, 0.0, 1.0, tight).value - math.e)
+        field = CubicField(linear_equation())
+        err_loose = abs(oracle._integrate_batch(field, 0.0, 1.0, [1.0], loose)[0][0] - math.e)
+        err_tight = abs(oracle._integrate_batch(field, 0.0, 1.0, [1.0], tight)[0][0] - math.e)
         assert err_tight < err_loose
         assert err_tight < 1e-10
 
     def test_autonomous_cubic_moves_up_from_half(self):
         # x' = x (1 - x^2) pushes (0, 1) upward, so d(0.5) > 0
         f = constants(1, -1, 1)
-        r = integrate(f, 0.5, 0.0, f.period.value_float, CFG)
-        assert not r.escaped
-        assert r.value - 0.5 > 0.1
+        x, _, esc, _ = oracle._integrate_batch(
+            CubicField(f), 0.0, f.period.value_float, [0.5], CFG
+        )
+        assert not esc[0]
+        assert x[0] - 0.5 > 0.1
 
     def test_zero_is_fixed_exactly(self):
         for f in (EX1, constants(1, 2, 1), constants(-1, 1, 1)):
@@ -87,9 +89,51 @@ class TestIntegrator:
     def test_escape_is_flagged_not_raised(self):
         # riding the a1 curve of the gallery instance into the blow-up
         x0 = 1.0 / EX1_A1.evaluate_float(math.pi / 4)
-        r = integrate(EX1, x0, math.pi / 4, math.pi, CFG)
-        assert r.escaped
-        assert r.reason
+        _, _, esc, reasons = oracle._integrate_batch(
+            CubicField(EX1), math.pi / 4, math.pi, [x0], CFG
+        )
+        assert esc[0]
+        assert reasons[0]
+
+    def test_initial_condition_beyond_the_window(self):
+        field = CubicField(linear_equation())
+        x, _, esc, reasons = oracle._integrate_batch(field, 0.0, 1.0, [2e6, 1.0], CFG)
+        assert esc.tolist() == [True, False]
+        assert reasons == ["initial condition beyond x_max", ""]
+        assert abs(x[1] - math.e) < 1e-8
+
+    def test_leaving_the_window(self):
+        # x' = x takes 1e5 past X_MAX = 1e6 after ln 10 < period
+        field = CubicField(linear_equation())
+        assert 1e5 * math.exp(field.period) > oracle.X_MAX
+        x, z, esc, reasons = oracle._integrate_batch(
+            field, 0.0, field.period, [1e5, 1.0], CFG
+        )
+        assert esc.tolist() == [True, False]
+        assert reasons == ["left the x_max window", ""]
+        assert abs(x[1] - math.exp(field.period)) < 1e-8 * math.exp(field.period)
+        assert abs(z[1] - math.exp(field.period)) < 1e-8 * math.exp(field.period)
+
+    def test_step_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_STEPS", 3)
+        field = CubicField(linear_equation())
+        _, _, esc, reasons = oracle._integrate_batch(
+            field, 0.0, field.period, [1.0, 2.0], CFG
+        )
+        assert esc.tolist() == [True, True]
+        assert reasons == ["step budget exhausted"] * 2
+
+    def test_escaped_sample_leaves_the_others_unchanged(self):
+        def bits(samples):
+            return [(s.x0.hex(), s.d.hex(), s.dprime.hex(), s.escaped) for s in samples]
+
+        f = constants(1, 2, 1)
+        with_far = displacement_map(f, [0.3, 2e6, 0.7], CFG)
+        without = displacement_map(f, [0.3, 0.7], CFG)
+        far = with_far[1]
+        assert far.escaped and math.isnan(far.d) and math.isnan(far.dprime)
+        assert bits([with_far[0], with_far[2]]) == bits(without)
+        assert not any(s.escaped for s in without)
 
     @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
     def test_rejects_nonpositive_tolerances(self, tol):
@@ -295,7 +339,7 @@ def refined(request):
     solve = oracle._integrate_batch
     out = []
     for _, eq, lo, hi in oracle.fiber_components(f)[0]:
-        field = CubicField(eq, CFG.pole_guard)
+        field = CubicField(eq)
         samples = displacement_map(field, component_grid(region, lo, hi, grid), CFG)
         for left, right in zip(samples, samples[1:]):
             if left.escaped or right.escaped or (left.d > 0) == (right.d > 0):
@@ -349,7 +393,7 @@ class TestRefinement:
             return DisplacementSample(x, x * x - 2.0, 2.0 * x, False)
 
         monkeypatch.setattr(oracle, "_integrate_batch", solve)
-        field = CubicField(linear_equation(), CFG.pole_guard)
+        field = CubicField(linear_equation())
         x_star, dprime, (lo, hi) = oracle._refine_bracket(field, sample(left), sample(right), CFG)
         assert 0.0 < hi - lo <= BISECTION_WIDTH
         assert lo * lo - 2.0 < 0.0 < hi * hi - 2.0
@@ -374,7 +418,7 @@ class TestRefinement:
             return DisplacementSample(x, x * x - 2.0, 2.0 * x, False)
 
         monkeypatch.setattr(oracle, "_integrate_batch", solve)
-        field = CubicField(linear_equation(), CFG.pole_guard)
+        field = CubicField(linear_equation())
         x_star, _, (lo, hi) = oracle._refine_bracket(field, sample(1.0), sample(2.0), CFG)
         assert [len(b) for b in batches] == [1] * (len(batches) - 1) + [2]
         assert [lo, hi] == batches[-1]
@@ -384,7 +428,7 @@ class TestRefinement:
 
 
 def assert_sweep_invariants(eq, grid: list[float]):
-    field = CubicField(eq, CFG.pole_guard)
+    field = CubicField(eq)
     u, z, escaped, _ = oracle._integrate_batch(field, 0.0, field.period, grid, CFG)
     bounded = ~escaped
     assert (z[bounded] > 0.0).all()
@@ -436,8 +480,8 @@ def without_blowup_bound(monkeypatch):
     """Zero the lower bound of C3 on every arc, so nothing is certified."""
     arc_bounds = oracle._arc_bounds
 
-    def no_rate(coeffs, guard):
-        a1, a2, m = arc_bounds(coeffs, guard)
+    def no_rate(coeffs):
+        a1, a2, m = arc_bounds(coeffs)
         return a1, a2, np.zeros_like(m)
 
     monkeypatch.setattr(oracle, "_arc_bounds", no_rate)
@@ -445,7 +489,7 @@ def without_blowup_bound(monkeypatch):
 
 def arc_rates(c1, c2, c3) -> np.ndarray:
     eq = AbelEquation.from_coefficients(c1, c2, c3)
-    _, _, m = oracle._arc_bounds(CubicField(eq, CFG.pole_guard).coeffs, CFG.pole_guard)
+    _, _, m = oracle._arc_bounds(CubicField(eq).coeffs)
     return m
 
 
@@ -475,8 +519,8 @@ class TestBlowUpBound:
         c1 = TrigRational(sw(1, 3), const(2) + cw(1, 1))
         c2 = TrigRational(const(1) - sw(2, 4), const(-3) + sw(1, 2))
         c3 = TrigRational(const(2) + sw(1, 1), const(3) + cw(2, -2))
-        field = CubicField(AbelEquation.from_coefficients(c1, c2, c3), CFG.pole_guard)
-        a1, a2, m = oracle._arc_bounds(field.coeffs, CFG.pole_guard)
+        field = CubicField(AbelEquation.from_coefficients(c1, c2, c3))
+        a1, a2, m = oracle._arc_bounds(field.coeffs)
         assert (m > 0).all()
         for k in range(oracle._ARCS):
             for u in (0.0, 0.3, 0.7, 1.0):
@@ -502,16 +546,17 @@ class TestBlowUpBound:
         monkeypatch.undo()
         for _, eq, lo, hi in oracle.fiber_components(f)[0]:
             x0 = graded_grid(lo, hi, 1)[0]
-            r = integrate(eq, x0, 0.0, eq.period.value_float, CFG)
-            assert r.escaped
-            assert r.reason == BLOWUP_REASON
+            _, _, esc, reasons = oracle._integrate_batch(
+                CubicField(eq), 0.0, eq.period.value_float, [x0], CFG
+            )
+            assert esc[0]
+            assert reasons[0] == BLOWUP_REASON
 
     def test_certifies_only_inside_the_window_and_before_t1(self):
         # x' = x^3/2 from x0 blows up at 1/x0^2; a window is 4 arcs long
         half = TrigRational.constant(Fraction(1, 2))
         field = CubicField(
-            AbelEquation.from_coefficients(TrigRational.zero(), TrigRational.zero(), half),
-            CFG.pole_guard,
+            AbelEquation.from_coefficients(TrigRational.zero(), TrigRational.zero(), half)
         )
         arc = oracle._ARC
         assert oracle._WINDOW == 4
@@ -544,7 +589,7 @@ class TestBlowUpBound:
         for f in (draws[0], draws[3], draws[18]):
             comps = oracle.fiber_components(f)[0]
             assert any(
-                (CubicField(eq, CFG.pole_guard).rate > 0).any() for _, eq, _, _ in comps
+                (CubicField(eq).rate > 0).any() for _, eq, _, _ in comps
             )
             on = count_cycles_in_V(f, CFG, grid_density=20)
             with monkeypatch.context() as patch:
@@ -583,8 +628,7 @@ class TestBlowUpBound:
         assert m[0] > 0.0 and m[n // 2] > 0.0
         # and so no window that holds those arcs certifies anything
         field = CubicField(
-            AbelEquation.from_coefficients(TrigRational.zero(), pole, TrigRational.constant(1)),
-            CFG.pole_guard,
+            AbelEquation.from_coefficients(TrigRational.zero(), pole, TrigRational.constant(1))
         )
         for k in range(n // 4 - oracle._WINDOW, n // 4 + 1):
             assert field.rate[k] == 0.0
@@ -617,8 +661,7 @@ class TestBlowUpBound:
                 TrigRational.zero(),
                 TrigRational.constant(-1000),
                 TrigRational.constant(Fraction(1, 2)),
-            ),
-            CFG.pole_guard,
+            )
         )
         assert 8000.0 < field.radius[0] < 8000.001
         x = np.array([1000.0, 7999.0, 8001.0, -8001.0])
@@ -687,9 +730,11 @@ class TestStabilityIntegral:
         from abelcycles.abel import negative_component_transform
 
         g = negative_component_transform(f)
-        r = integrate(g, 1.0, 0.0, g.period.value_float, CFG)
-        assert not r.escaped
-        assert abs(r.value - 1.0) < 1e-9
-        measured = r.variation - 1.0
+        x, z, esc, _ = oracle._integrate_batch(
+            CubicField(g), 0.0, g.period.value_float, [1.0], CFG
+        )
+        assert not esc[0]
+        assert abs(x[0] - 1.0) < 1e-9
+        measured = z[0] - 1.0
         assert (predicted > 0) == (measured > 0)
         assert abs(predicted - measured) < 1e-6

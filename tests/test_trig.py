@@ -26,12 +26,12 @@ from abelcycles.trig import (
     TrigPoly,
     TrigRational,
     cancel_pole_combination,
-    circle_point,
     definite_sign_on_period,
     definite_sign_report,
     has_odd_order_pole,
     vanishing_order_at_pi,
 )
+from identities import circle_point
 from oracles import (
     half_angle_chart_reference,
     tan_substitute_reference,
