@@ -14,9 +14,10 @@ the largest step, the pole guard, the x window, the smallest step and the
 step budget are module constants.
 
 A sign change of the displacement between grid neighbours is refined by
-safeguarded Newton on the variational d'. Once Newton's predicted error is
-below an eighth of the final bracket width, one two-sample solve either
-side of the predicted root closes the bracket.
+safeguarded Newton on the variational d', in one-sample solves on a scalar
+kernel that repeats the batch kernel bit for bit. Once Newton's predicted
+error is below an eighth of the final width, one solve either side of the
+predicted root closes the bracket.
 
 Region handling mirrors the exact classifier: the bounded fiber (0, 1/a1(0))
 when a1 starts positive, a flagged heuristic cutoff when the fiber is
@@ -234,27 +235,28 @@ class CubicField:
             out.append(nv / dv)
         return out
 
-    def __call__(self, t: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """The derivative of the state (x, z), stacked as a (2, n) array:
-        x' = x (C1 + C2 x + C3 x^2) and z' = f_x z."""
+    def __call__(self, t: float, x, z):
+        """The derivative x' = x (C1 + C2 x + C3 x^2), z' = f_x z of the state
+        (x, z): a pair for floats, one (2, n) array, x' over z', for arrays."""
         c1, c2, c3 = self.values(t)
-        out = np.empty((2,) + x.shape)
-        np.multiply(x, c1 + x * (c2 + c3 * x), out=out[0])
-        np.multiply(c1 + x * (2.0 * c2 + 3.0 * c3 * x), z, out=out[1])
-        return out
+        dx = x * (c1 + x * (c2 + c3 * x))
+        dz = (c1 + x * (2.0 * c2 + 3.0 * c3 * x)) * z
+        return (dx, dz) if isinstance(x, float) else np.array((dx, dz))
 
-    def blows_up(self, t: float, t1: float, x: np.ndarray) -> np.ndarray:
-        """Samples that the comparison bound proves infinite before t1: on
-        the window from t, |x| stays above the radius and is infinite before
-        t + 1/(rate x^2)."""
+    def reach(self, t: float, t1: float) -> float:
+        """The |x| past which the comparison bound proves a solution at t
+        infinite before t1; inf where it proves nothing."""
         k = math.floor(t / _ARC)
         rate = float(self.rate[k % _ARCS])
         end = min((k + _WINDOW) * _ARC, t1)
         if rate <= 0.0 or end <= t:
-            return np.zeros(x.shape, dtype=bool)
+            return math.inf
         # t + _SAFETY/(rate x^2) < end, solved for |x|
-        reach = max(float(self.radius[k % _ARCS]), math.sqrt(_SAFETY / (rate * (end - t))))
-        return np.abs(x) > reach
+        return max(float(self.radius[k % _ARCS]), math.sqrt(_SAFETY / (rate * (end - t))))
+
+    def blows_up(self, t: float, t1: float, x: np.ndarray) -> np.ndarray:
+        """Samples that the comparison bound proves infinite before t1."""
+        return np.abs(x) > self.reach(t, t1)
 
 
 # Dormand-Prince 5(4) tableau
@@ -360,7 +362,7 @@ def _integrate_batch(
                     worst = active & (ratio > 1.0)
                     mark(worst, "step-size underflow (blow-up or stiffness)")
                     continue
-                h = max(h * max(0.2, 0.9 * enorm ** (-0.2) if enorm > 0 else 0.2), MIN_STEP)
+                h = _next_step(h, enorm, False, h_max)
                 continue
             t += h
             y = np.where(active, y5, y)
@@ -371,9 +373,80 @@ def _integrate_batch(
             doomed = active & field.blows_up(t, t1, y[0])
             if doomed.any():
                 mark(doomed, BLOWUP_REASON)
-            factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
-            h = min(h * factor, h_max)
+            h = _next_step(h, enorm, True, h_max)
     return y[0], y[1], escaped, reasons
+
+
+def _integrate_one(field: CubicField, t0: float, t1: float, x0: float,
+                   cfg: IntegratorConfig) -> tuple[float, float, bool, str]:
+    """_integrate_batch for one sample, in Python floats, with the same
+    tableau, step controller, order of operations and escape rules: its x,
+    z, escape flag and reason are bitwise those of a batch of one."""
+    x, z, span = float(x0), 1.0, t1 - t0
+    if span <= 0:
+        return x, z, False, ""
+    if abs(x) > X_MAX:
+        return x, z, True, "initial condition beyond x_max"
+    if abs(x) > field.reach(t0, t1):
+        return x, z, True, BLOWUP_REASON
+    t, h_max = t0, span * MAX_STEP_FRACTION
+    h = h_max / 8
+    try:
+        k1 = field(t, x, z)
+    except _PoleGuard as exc:
+        return x, z, True, str(exc)
+    steps = 0
+    while t < t1 - 1e-14 * span:
+        steps += 1
+        if steps > MAX_STEPS:
+            return x, z, True, "step budget exhausted"
+        h, ks = min(h, t1 - t), [k1]
+        try:
+            for stage in range(1, 7):
+                xa, za = x, z
+                for coeff, (kx, kz) in zip(_DP_A[stage], ks):
+                    xa = xa + h * coeff * kx
+                    za = za + h * coeff * kz
+                ks.append(field(t + _DP_C[stage] * h, xa, za))
+        except _PoleGuard as exc:
+            h *= 0.25
+            if h < MIN_STEP:
+                return x, z, True, str(exc)
+            continue
+        ex, ez = h * _DP_ERR[0] * ks[0][0], h * _DP_ERR[0] * ks[0][1]
+        for coeff, (kx, kz) in zip(_DP_ERR[1:], ks[1:]):
+            ex = ex + h * coeff * kx
+            ez = ez + h * coeff * kz
+        # the new state first, so that a NaN wins as in np.maximum
+        px = abs(ex) / (cfg.atol + cfg.rtol * max(abs(xa), abs(x)))
+        pz = abs(ez) / (cfg.atol + cfg.rtol * max(abs(za), abs(z)))
+        ratio = max(px, pz) if math.isfinite(px) and math.isfinite(pz) else math.inf
+        if ratio > 1.0 or not math.isfinite(xa):
+            if h <= MIN_STEP * 1.0001:
+                if ratio > 1.0:
+                    return x, z, True, "step-size underflow (blow-up or stiffness)"
+                continue
+            h = _next_step(h, ratio, False, h_max)
+            continue
+        t += h
+        x, z = xa, za
+        k1 = ks[6]
+        if abs(x) > X_MAX:
+            return x, z, True, "left the x_max window"
+        if abs(x) > field.reach(t, t1):
+            return x, z, True, BLOWUP_REASON
+        h = _next_step(h, ratio, True, h_max)
+    return x, z, False, ""
+
+
+def _next_step(h: float, enorm: float, accepted: bool, h_max: float) -> float:
+    """The step after one of error norm enorm (Hairer, Norsett & Wanner I,
+    II.4): h times 0.9 enorm^(-1/5) and at least 0.2 h; after a rejected
+    step at least MIN_STEP, after an accepted one at most 5 h and h_max."""
+    if accepted:
+        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
+        return min(h * factor, h_max)
+    return max(h * max(0.2, 0.9 * enorm ** (-0.2) if enorm > 0 else 0.2), MIN_STEP)
 
 
 def displacement_map(
@@ -461,7 +534,7 @@ def _refine_bracket(
     left: DisplacementSample,
     right: DisplacementSample,
     cfg: IntegratorConfig,
-) -> tuple[float, float, tuple[float, float]]:
+) -> tuple[float, float, tuple[float, float], str]:
     """Shrink the bracket between two grid neighbours with opposite signs of
     d to BISECTION_WIDTH by safeguarded Newton (rtsafe; Brent 1973): step
     -d/d' with the variational d' when that stays strictly inside the
@@ -472,12 +545,12 @@ def _refine_bracket(
 
     The end-game: Newton's error at the predicted root r is about
     |d''| / (2 |d'|) step^2, with d'' from the d' of the last two points.
-    Once that is at most an eighth of the width, one batch of two samples
-    at r -/+ a quarter width closes the bracket, where a converged iterate
-    would take two solves in a row. It is tried once; if both samples fall
-    on one side, the Newton steps go on from the nearer one. x* is the
-    midpoint of the final bracket, and d' there the mean of the d' known at
-    its ends."""
+    Once that is at most an eighth of the width, solves at r -/+ a quarter
+    width close the bracket, where a converged iterate takes two rounds; the
+    second is solved only if still inside. It is tried once; if both fall on
+    one side, Newton goes on from the nearer one. x* is the midpoint of the
+    final bracket, and d' there the mean of the d' known at its ends. An
+    escaping probe stops the refinement; its reason is returned last."""
     lo, hi = left.x0, right.x0
     lo_positive = left.d > 0
     dp_lo, dp_hi = left.dprime, right.dprime
@@ -509,22 +582,22 @@ def _refine_bracket(
             else:
                 probes = [0.5 * (lo + hi)]
                 last = 0.5 * (hi - lo)
-        xT, zT, esc, _ = _integrate_batch(field, 0.0, field.period, probes, cfg)
-        if esc.any():
-            break
         x_prev, dp_prev = x, dprime
-        for p, xf, zf in zip(probes, xT, zT):
-            d_p, dprime_p = float(xf) - p, float(zf) - 1.0
-            if d_p == 0.0:
-                return p, dprime_p, (p, p)
+        for p in probes:
             if not lo < p < hi:  # the second probe, when both are on one side
                 continue
+            xf, zf, escaped, why = _integrate_one(field, 0.0, field.period, p, cfg)
+            if escaped:
+                return 0.5 * (lo + hi), 0.5 * (dp_lo + dp_hi), (lo, hi), why
+            d_p, dprime_p = xf - p, zf - 1.0
+            if d_p == 0.0:
+                return p, dprime_p, (p, p), ""
             x, d, dprime = p, d_p, dprime_p
             if (d > 0) == lo_positive:
                 lo, dp_lo = x, dprime
             else:
                 hi, dp_hi = x, dprime
-    return 0.5 * (lo + hi), 0.5 * (dp_lo + dp_hi), (lo, hi)
+    return 0.5 * (lo + hi), 0.5 * (dp_lo + dp_hi), (lo, hi), ""
 
 
 def count_cycles_in_V(
@@ -535,14 +608,17 @@ def count_cycles_in_V(
     """Scan every component of V's fiber at t=0, bracket the sign changes of
     the displacement map, refine each bracket by safeguarded Newton, and
     classify the stability of each cycle by the sign of d'. The report keeps
-    the sweep's samples, so a caller that wants them need not sweep again."""
+    the sweep's samples, so a caller that wants them need not sweep again.
+    Its notes name each refinement that an escaping probe stopped."""
     region = classify_region(f).kind
     comps, heuristic, note = fiber_components(f)
+    notes = [note] if note else []
     cycles: list[Cycle] = []
     sign_changes = 0
     swept: list[DisplacementSample] = []
+    fields: dict[int, CubicField] = {}  # both A1Negative components share g
     for label, eq, lo, hi in comps:
-        field = CubicField(eq)
+        field = fields[id(eq)] = fields.get(id(eq)) or CubicField(eq)
         samples = displacement_map(field, component_grid(region, lo, hi, grid_density), cfg)
         swept.extend(samples)
         for s in samples:
@@ -557,10 +633,13 @@ def count_cycles_in_V(
                 continue
             if (left.d > 0) != (right.d > 0):
                 sign_changes += 1
-                x_star, dprime, bracket = _refine_bracket(field, left, right, cfg)
+                x_star, dprime, bracket, stopped = _refine_bracket(field, left, right, cfg)
                 cycles.append(
                     Cycle(label, bracket, x_star, dprime, _classify(dprime))
                 )
+                if stopped:
+                    notes.append(f"refinement of the cycle near {x_star!r} on {label} "
+                                 f"stopped at width {bracket[1] - bracket[0]!r}: {stopped}")
     return CycleReport(
         region=region.value,
         cycles=tuple(cycles),
@@ -569,7 +648,7 @@ def count_cycles_in_V(
         escaped_samples=sum(1 for s in swept if s.escaped),
         total_samples=len(swept),
         heuristic_cutoff=heuristic,
-        notes=note,
+        notes="; ".join(notes),
         samples=tuple(swept),
     )
 

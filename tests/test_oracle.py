@@ -1,8 +1,10 @@
 """Displacement-map oracle: integrator accuracy, cycle counting, invariance."""
 
 import csv
+import functools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +143,97 @@ class TestIntegrator:
             IntegratorConfig(rtol=tol)
         with pytest.raises(ValueError):
             IntegratorConfig(atol=tol)
+
+
+def one_vs_batch(field, t0, t1, x0, cfg=CFG):
+    """_integrate_one from x0, asserted bitwise equal to a batch of one in
+    x, z, the escape flag and its reason."""
+    xb, zb, eb, rb = oracle._integrate_batch(field, t0, t1, [x0], cfg)
+    x, z, escaped, reason = oracle._integrate_one(field, t0, t1, x0, cfg)
+    assert type(x) is float and type(z) is float
+    assert (x.hex(), z.hex(), escaped, reason) == (
+        float(xb[0]).hex(), float(zb[0]).hex(), bool(eb[0]), rb[0]
+    )
+    return x, z, escaped, reason
+
+
+@functools.lru_cache(maxsize=None)
+def gate6_component(draw: int, k: int):
+    f = gate6_draws(draw + 1)[draw]
+    comps = oracle.fiber_components(f)[0]
+    _, eq, lo, hi = comps[k % len(comps)]
+    return CubicField(eq), lo, hi
+
+
+class TestScalarKernel:
+    """_integrate_one is _integrate_batch for one sample in Python floats:
+    bitwise the same x, z, escape flag and reason, on every escape path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(draw=st.integers(0, 29), k=st.integers(0, 1), u=st.floats(0.0, 1.0))
+    def test_equals_a_batch_of_one_on_gate6_draws(self, draw, k, u):
+        field, lo, hi = gate6_component(draw, k)
+        one_vs_batch(field, 0.0, field.period, lo + (hi - lo) * u)
+
+    def test_initial_condition_beyond_the_window(self):
+        field = CubicField(linear_equation())
+        assert one_vs_batch(field, 0.0, 1.0, 2e6)[2:] == (True, "initial condition beyond x_max")
+
+    def test_leaving_the_window(self):
+        field = CubicField(linear_equation())
+        assert one_vs_batch(field, 0.0, field.period, 1e5)[2:] == (True, "left the x_max window")
+
+    def test_step_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_STEPS", 3)
+        field = CubicField(linear_equation())
+        assert one_vs_batch(field, 0.0, field.period, 1.0)[2:] == (True, "step budget exhausted")
+
+    def test_step_size_underflow(self, monkeypatch):
+        # the first step, h_max/8 = 0.125, is already at MIN_STEP, and x' = x
+        # misses the tolerance on it
+        monkeypatch.setattr(oracle, "MIN_STEP", 0.125)
+        field = CubicField(linear_equation())
+        assert one_vs_batch(field, 0.0, 20.0, 1.0)[2:] == (
+            True, "step-size underflow (blow-up or stiffness)"
+        )
+
+    def test_comparison_bound(self):
+        # x' = x^3/2: from 1/sqrt(0.5 * 8 arcs) the bound does not fire at
+        # the start, only on the way up; in the y = a1 x chart of
+        # (-2, -1, 0) it fires at the start
+        half = TrigRational.constant(Fraction(1, 2))
+        field = CubicField(
+            AbelEquation.from_coefficients(TrigRational.zero(), TrigRational.zero(), half)
+        )
+        x0 = 1.0 / math.sqrt(0.5 * 8 * oracle._ARC)
+        assert x0 < field.reach(0.0, field.period)
+        assert one_vs_batch(field, 0.0, field.period, x0)[2:] == (True, BLOWUP_REASON)
+        for _, eq, lo, hi in oracle.fiber_components(constants(-2, -1, 0))[0]:
+            field = CubicField(eq)
+            x0 = graded_grid(lo, hi, 1)[0]
+            assert abs(x0) > field.reach(0.0, field.period)
+            assert one_vs_batch(field, 0.0, field.period, x0)[2:] == (True, BLOWUP_REASON)
+
+    def test_pole_guard(self):
+        # a1 = 1/2 + cos t vanishes at t = 2 pi/3, a pole of C1 = b2 - a1'/a1;
+        # the step shrinks by quarters until it is below MIN_STEP
+        f = FactoredAbel.from_parts(
+            TrigPoly.constant(Fraction(1, 2)) + TrigPoly.coswave(1, 1),
+            TrigRational.constant(1),
+            TrigRational.constant(1),
+        )
+        ((_, eq, lo, hi),) = oracle.fiber_components(f)[0]
+        field = CubicField(eq)
+        for x0 in (0.1, 0.5):
+            _, _, escaped, reason = one_vs_batch(field, 0.0, field.period, x0)
+            assert escaped and reason.startswith("coefficient denominator below guard")
+
+    def test_bounded_solves(self):
+        for f in (EX1, constants(1, 2, 1), constants(-1, 1, 1)):
+            field = CubicField(f)
+            for x0 in (0.0, 0.25, -0.5):
+                one_vs_batch(field, 0.0, field.period, x0)
+        assert one_vs_batch(CubicField(EX1), 1.0, 1.0, 0.3) == (0.3, 1.0, False, "")
 
 
 class TestDisplacementMap:
@@ -330,13 +423,27 @@ REFINE_CASES = {
 }
 
 
+def by_round(solve, rounds: list):
+    """`solve` as a stand-in for _integrate_one that appends the x0 of each
+    call to `rounds`, one list per solve round of _refine_bracket: a round
+    is one `probes` list there, so the end-game pair is one round, as it was
+    one batch of two."""
+    def recorded(field, t0, t1, x0, cfg):
+        probes = sys._getframe(1).f_locals["probes"]
+        if not rounds or rounds[-1][0] is not probes:
+            rounds.append((probes, []))
+        rounds[-1][1].append(x0)
+        return solve(field, t0, t1, x0, cfg)
+
+    return recorded
+
+
 @pytest.fixture(scope="module", params=list(REFINE_CASES), ids=list(REFINE_CASES))
 def refined(request):
     """Per bracket of the instance's sweep: the field, the refined cycle and
-    the solves it took, and the bisection reference."""
+    the x0 of its solves per round, and the bisection reference."""
     f, grid = REFINE_CASES[request.param]
     region = classify_region(f).kind
-    solve = oracle._integrate_batch
     out = []
     for _, eq, lo, hi in oracle.fiber_components(f)[0]:
         field = CubicField(eq)
@@ -344,23 +451,20 @@ def refined(request):
         for left, right in zip(samples, samples[1:]):
             if left.escaped or right.escaped or (left.d > 0) == (right.d > 0):
                 continue
-            calls = []
-
-            def counting(*args):
-                calls.append(args)
-                return solve(*args)
-
+            rounds = []
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(oracle, "_integrate_batch", counting)
+                patch.setattr(oracle, "_integrate_one", by_round(oracle._integrate_one, rounds))
                 result = oracle._refine_bracket(field, left, right, CFG)
-            out.append((field, result, len(calls), bisection_reference(field, left, right, CFG)))
+            solves = [x0s for _, x0s in rounds]
+            out.append((field, result, solves, bisection_reference(field, left, right, CFG)))
     assert out
     return out
 
 
 class TestRefinement:
     def test_bracket_contract(self, refined):
-        for field, (x_star, dprime, (lo, hi)), _, (ref_x, ref_dprime, _, _) in refined:
+        for field, (x_star, dprime, (lo, hi), stopped), _, (ref_x, ref_dprime, _, _) in refined:
+            assert stopped == ""
             assert 0.0 <= hi - lo <= BISECTION_WIDTH
             # one solve per end, as the refinement solves: a batch of two
             # shares its steps and rounds d differently
@@ -374,57 +478,89 @@ class TestRefinement:
             assert oracle._classify(dprime) == oracle._classify(ref_dprime)
 
     def test_solve_count(self, refined):
-        for _, _, solves, (_, _, _, ref_solves) in refined:
-            assert solves <= 6
-            assert solves <= ref_solves
+        for _, _, rounds, (_, _, _, ref_solves) in refined:
+            assert 1 <= len(rounds) <= 6
+            assert len(rounds) <= ref_solves
+            # one solve per round, and two in at most one: the end-game pair
+            assert all(len(x0s) in (1, 2) for x0s in rounds)
+            assert sum(len(x0s) == 2 for x0s in rounds) <= 1
+
+    @staticmethod
+    def exact(field, t0, t1, x0, cfg):
+        """d = x^2 - 2 without integration error, as _integrate_one returns it."""
+        return x0 + (x0 * x0 - 2.0), 1.0 + 2.0 * x0, False, ""
+
+    @staticmethod
+    def sample(x):
+        return DisplacementSample(x, x * x - 2.0, 2.0 * x, False)
 
     @pytest.mark.parametrize("left, right", [(1.0, 2.0), (1.41, 1.42), (0.1, 10.0)])
     def test_exact_displacement(self, left, right, monkeypatch):
-        # d = x^2 - 2 without integration error; from (0.1, 10) the first
-        # Newton step leaves the bracket, so the next point is the midpoint
-        solves = []
-
-        def solve(field, t0, t1, x0, cfg):
-            x = np.asarray(x0, dtype=float)
-            solves.append(x[0])
-            return x + (x * x - 2.0), 1.0 + 2.0 * x, np.zeros(x.shape, dtype=bool), [""] * x.size
-
-        def sample(x):
-            return DisplacementSample(x, x * x - 2.0, 2.0 * x, False)
-
-        monkeypatch.setattr(oracle, "_integrate_batch", solve)
+        # from (0.1, 10) the first Newton step leaves the bracket, so the
+        # next point is the midpoint
+        rounds = []
+        monkeypatch.setattr(oracle, "_integrate_one", by_round(self.exact, rounds))
         field = CubicField(linear_equation())
-        x_star, dprime, (lo, hi) = oracle._refine_bracket(field, sample(left), sample(right), CFG)
+        x_star, dprime, (lo, hi), stopped = oracle._refine_bracket(
+            field, self.sample(left), self.sample(right), CFG
+        )
+        assert stopped == ""
         assert 0.0 < hi - lo <= BISECTION_WIDTH
         assert lo * lo - 2.0 < 0.0 < hi * hi - 2.0
         assert x_star == 0.5 * (lo + hi)
         assert abs(dprime - 2.0 * math.sqrt(2.0)) < 1e-9
-        assert len(solves) <= 8
+        assert len(rounds) <= 8
         if left == 0.1:
-            assert solves[0] == 0.5 * (left + right)
+            assert rounds[0][1] == [0.5 * (left + right)]
 
     def test_converged_iterate_closes_the_bracket_in_one_batch(self, monkeypatch):
-        # d = x^2 - 2 without integration error: once Newton's predicted
-        # error is below an eighth of the width, one two-sample solve around
-        # the predicted root is the last solve, and its samples are the ends
-        batches = []
-
-        def solve(field, t0, t1, x0, cfg):
-            x = np.asarray(x0, dtype=float)
-            batches.append(x.tolist())
-            return x + (x * x - 2.0), 1.0 + 2.0 * x, np.zeros(x.shape, dtype=bool), [""] * x.size
-
-        def sample(x):
-            return DisplacementSample(x, x * x - 2.0, 2.0 * x, False)
-
-        monkeypatch.setattr(oracle, "_integrate_batch", solve)
+        # once Newton's predicted error is below an eighth of the width, the
+        # end-game's two one-sample solves at r -/+ a quarter width around
+        # the predicted root r (one round, once one batch of two) are the
+        # last round, and they are the ends
+        rounds = []
+        monkeypatch.setattr(oracle, "_integrate_one", by_round(self.exact, rounds))
         field = CubicField(linear_equation())
-        x_star, _, (lo, hi) = oracle._refine_bracket(field, sample(1.0), sample(2.0), CFG)
-        assert [len(b) for b in batches] == [1] * (len(batches) - 1) + [2]
-        assert [lo, hi] == batches[-1]
+        x_star, _, (lo, hi), stopped = oracle._refine_bracket(
+            field, self.sample(1.0), self.sample(2.0), CFG
+        )
+        assert stopped == ""
+        assert [len(x0s) for _, x0s in rounds] == [1] * (len(rounds) - 1) + [2]
+        probes, pair = rounds[-1]
+        assert pair == probes == [lo, hi]
         assert hi - lo == pytest.approx(0.5 * BISECTION_WIDTH, rel=1e-3)
+        root = 0.5 * (lo + hi)
+        quarter = 0.25 * BISECTION_WIDTH
+        assert pair == [root - quarter, root + quarter]
+        assert abs(root - math.sqrt(2.0)) < 0.125 * BISECTION_WIDTH
         assert lo * lo - 2.0 < 0.0 < hi * hi - 2.0
-        assert x_star == 0.5 * (lo + hi)
+        assert x_star == root
+
+    def test_an_escaping_probe_stops_the_refinement_and_says_so(self, monkeypatch):
+        # the near-constant cycle of the golden pin, with its second
+        # refinement solve escaping
+        f = near_constant(Fraction(-1, 8), Fraction(1, 8))
+        solve, calls = oracle._integrate_one, []
+
+        def escaping(field, t0, t1, x0, cfg):
+            calls.append(x0)
+            if len(calls) == 2:
+                return x0, 1.0, True, "left the x_max window"
+            return solve(field, t0, t1, x0, cfg)
+
+        monkeypatch.setattr(oracle, "_integrate_one", escaping)
+        rep = count_cycles_in_V(f, CFG, grid_density=10)
+        assert len(calls) == 2
+        (cycle,) = rep.cycles
+        lo, hi = cycle.bracket
+        assert hi - lo > BISECTION_WIDTH
+        assert cycle.x_star == 0.5 * (lo + hi)
+        d_lo, d_hi = (displacement_map(f, [x], CFG)[0].d for x in (lo, hi))
+        assert (d_lo > 0) != (d_hi > 0)
+        assert rep.notes == (
+            f"refinement of the cycle near {cycle.x_star!r} on 0<x<1/a1(0) stopped "
+            f"at width {hi - lo!r}: left the x_max window"
+        )
 
 
 def assert_sweep_invariants(eq, grid: list[float]):
