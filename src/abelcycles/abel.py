@@ -22,7 +22,7 @@ from .trig import (
     Period,
     TrigPoly,
     TrigRational,
-    definite_sign_on_period,
+    definite_sign_report,
 )
 
 
@@ -190,7 +190,7 @@ def classify_region(f: FactoredAbel) -> RegionV:
     Zeros of a1 send 1/a1 to infinity, so the non-strict sign classes count
     as sign-changing for region purposes.
     """
-    sign = definite_sign_on_period(f.a1)
+    sign = definite_sign_report(f.a1).sign
     if sign is SignOnSet.IDENTICALLY_ZERO:
         raise ValueError("a1 must not be identically zero")
     if sign is SignOnSet.STRICTLY_POSITIVE:
@@ -222,7 +222,7 @@ def normalize(f: FactoredAbel, b1n: TrigPoly) -> NormalizedAbel:
     coefficients as the input equation (re-bracketing, not a change of
     variables); see the coefficient identity test.
     """
-    sign = definite_sign_on_period(b1n)
+    sign = definite_sign_report(b1n).sign
     if sign not in (SignOnSet.STRICTLY_POSITIVE, SignOnSet.STRICTLY_NEGATIVE):
         raise ValueError("the multiplier b1n must be nowhere zero on the period")
     b1r = _as_trig_rational(b1n)
@@ -240,7 +240,7 @@ def negative_component_transform(f: FactoredAbel) -> FactoredAbel:
     i.e. the factored form with a1 = 1, a2 -> a2/a1, b2 unchanged; the region
     becomes {y < 0 or y > 1}.
     """
-    if definite_sign_on_period(f.a1) is not SignOnSet.STRICTLY_NEGATIVE:
+    if definite_sign_report(f.a1).sign is not SignOnSet.STRICTLY_NEGATIVE:
         raise ValueError("transform requires a1 strictly negative on the period")
     a1r = _as_trig_rational(f.a1)
     return FactoredAbel(

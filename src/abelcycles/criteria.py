@@ -88,7 +88,9 @@ class Branch(str, Enum):
 @dataclass(frozen=True)
 class Witness:
     """A chart sample (point or isolating interval) at which the named
-    condition is violated or attained; signs there are re-checkable exactly.
+    condition is violated or attained; signs there are re-checkable exactly
+    from the chart polynomials of each function's sign proxy (the tests do
+    this with `witness_sign` in tests/identities.py).
 
     chart is 'tan', 'tan2' (shifted half period), 'half', or 'point'; for
     'point' the exact circle coordinates are carried in `circle`.
@@ -233,12 +235,6 @@ def circle_strict_interval(
         if got is not None:
             return StrictnessEvidence(condition, name, got[0], got[1])
     return None
-
-
-def witness_sign(f: TrigLike, w: Witness) -> int:
-    """Exact sign of f at the witness sample; the re-validation path for
-    witnesses. Returns 0 at zeros and poles."""
-    return f.chart.sign(w.chart, w.sample())
 
 
 def _witness_from_sample(condition: str, sample: tuple) -> Witness:
@@ -609,7 +605,7 @@ def _factored_criterion(f: FactoredAbel, eta: Fraction, cid: str) -> CriterionVe
                 "cannot be definite; try the multipliers from eta_candidates"
             ),
         )
-    hrep = definite_sign_report(h.sign_proxy())
+    hrep = definite_sign_report(h)
     branches = []
     if hrep.sign.is_nonnegative:
         branches.append(Branch.POSITIVE)
@@ -789,7 +785,7 @@ def check_definite_a2(f: FactoredAbel) -> CriterionVerdict:
     cid = "definite_a2"
     if riccati_bound_applies(f):
         return CriterionVerdict(cid, Outcome.INAPPLICABLE, notes=_RICCATI_NOTE)
-    rep = definite_sign_report(f.a2.sign_proxy())
+    rep = definite_sign_report(f.a2)
     if rep.sign.is_nonnegative or rep.sign.is_nonpositive:
         branch = Branch.POSITIVE if rep.sign.is_nonnegative else Branch.NEGATIVE
         direction = 1 if branch is Branch.POSITIVE else -1
@@ -850,7 +846,7 @@ def check_normalized(n: NormalizedAbel) -> CriterionVerdict:
     eta_val: Optional[Fraction] = None
     branch: Optional[Branch] = None
 
-    rep2 = definite_sign_report(n.a2n.sign_proxy())
+    rep2 = definite_sign_report(n.a2n)
     if rep2.sign.is_nonnegative or rep2.sign.is_nonpositive:
         held.append("(ii) a2 keeps one sign")
     else:
@@ -858,8 +854,8 @@ def check_normalized(n: NormalizedAbel) -> CriterionVerdict:
 
     g1 = TrigRational.from_poly(n.a1n) * n.a2n
     g2 = TrigRational.from_poly(n.b1n) * n.b2n
-    rep_g1 = definite_sign_report(g1.sign_proxy())
-    rep_g2 = definite_sign_report(g2.sign_proxy())
+    rep_g1 = definite_sign_report(g1)
+    rep_g2 = definite_sign_report(g2)
     if (rep_g1.sign.is_nonnegative and rep_g2.sign.is_nonpositive) or (
         rep_g1.sign.is_nonpositive and rep_g2.sign.is_nonnegative
     ):

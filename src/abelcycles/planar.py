@@ -86,9 +86,6 @@ class BivariatePoly:
     def is_homogeneous(self, d: int) -> bool:
         return all(i + j == d for (i, j), _ in self.terms)
 
-    def evaluate_float(self, x: float, y: float) -> float:
-        return sum(float(c) * x**i * y**j for (i, j), c in self.terms)
-
     def on_circle(self) -> TrigPoly:
         """Substitute (x, y) = (cos t, sin t)."""
         return TrigPoly.from_terms((i, j, c) for (i, j), c in self.terms)

@@ -267,12 +267,6 @@ class RationalPoly:
             scale *= b
         return (acc > 0) - (acc < 0)
 
-    def evaluate_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def primitive(self) -> "RationalPoly":
         """Integer-primitive positive multiple of self (content divided out)."""
         return RationalPoly(_ONE, self.ints)

@@ -13,10 +13,11 @@ Sign questions over a full period are settled exactly in one of two charts:
   minus the single point t = pi, with N rational.
 
 Both charts reduce circle questions to RationalPoly sign decisions. A
-CircleChart picks the chart for several functions at once and carries the
-circle points it misses exactly; each function builds its own chart
-polynomials once, on first use, and keeps them (`TrigPoly.chart`,
-`TrigRational.chart`), and a TrigPoly keeps its sign report the same way.
+rational function is read through its sign proxy, a TrigPoly with its sign
+(`TrigRational.sign_proxy`). A CircleChart picks the chart for the proxies
+of several functions at once and carries the circle points it misses
+exactly; each TrigPoly builds its two chart polynomials and its sign report
+once, on first use, and keeps them.
 """
 
 from __future__ import annotations
@@ -243,9 +244,14 @@ class TrigPoly:
         return TrigPoly.from_terms(raw)
 
     @cached_property
-    def chart(self) -> "FunctionChart":
-        # a bare copy, so the chart does not point back at self (no cycle)
-        return FunctionChart(TrigPoly(self.terms))
+    def _tan(self) -> tuple[RationalPoly, bool]:
+        # tan_chart, and whether the sign flips on the shifted half period
+        p, d = self.tan_chart()
+        return p, d % 2 == 1
+
+    @cached_property
+    def _half(self) -> RationalPoly:
+        return self.half_angle_chart()[0]
 
     @cached_property
     def _sign_report(self) -> "SignReport":
@@ -406,7 +412,7 @@ class TrigRational:
     def sign_proxy(self) -> TrigPoly:
         """num*den of the reduced form: same sign as self wherever defined,
         zero exactly at zeros and poles of self. The reduced form builds it
-        once and keeps it, and with it the proxy's chart and sign report."""
+        once and keeps it, and with it the proxy's charts and sign report."""
         return self.reduced()._proxy
 
     @cached_property
@@ -421,11 +427,6 @@ class TrigRational:
         if self.num.is_zero:
             return Period.PI
         return Period.TWO_PI
-
-    @cached_property
-    def chart(self) -> "FunctionChart":
-        r = self.reduced()
-        return FunctionChart(r.num, r.den) if r is self else r.chart
 
     def pole_free(self) -> bool:
         """True when the reduced denominator never vanishes on the circle:
@@ -453,6 +454,11 @@ class TrigRational:
 TrigLike = Union[TrigPoly, TrigRational]
 
 
+def _proxy(f: TrigLike) -> TrigPoly:
+    """The TrigPoly whose sign is read for f: f itself, or its sign proxy."""
+    return f.sign_proxy() if isinstance(f, TrigRational) else f
+
+
 def _pole_part(f: TrigRational) -> RationalPoly:
     """Q of the half-angle pair without its factors 1 + u^2, which have no
     real root; the real roots left are the poles of f off t = pi."""
@@ -470,58 +476,6 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
-class FunctionChart:
-    """One function in both charts: its sign proxy is chart numerator times
-    chart denominator of the reduced form, so it has the function's sign
-    wherever the function is defined and vanishes at its zeros and poles.
-    Each chart is built on first use."""
-
-    def __init__(self, num: TrigPoly, den: Optional[TrigPoly] = None):
-        self.num = num
-        self.den = den  # None for a polynomial
-        self.pure = num.parity() is not None and (den is None or den.parity() is not None)
-
-    @cached_property
-    def tan(self) -> tuple[RationalPoly, bool]:
-        """Proxy in x = tan t, and whether the sign flips on the shifted half
-        period (the trig degrees of numerator and denominator sum to odd)."""
-        if self.num.is_zero:
-            return RationalPoly.zero(), False
-        p, d = self.num.tan_chart()
-        if self.den is not None:
-            q, e = self.den.tan_chart()
-            p, d = p * q, d + e
-        return p, d % 2 == 1
-
-    @cached_property
-    def half(self) -> RationalPoly:
-        """Proxy in u = tan(t/2)."""
-        if self.num.is_zero:
-            return RationalPoly.zero()
-        n, _ = self.num.half_angle_chart()
-        if self.den is not None:
-            n = n * self.den.half_angle_chart()[0]
-        return n
-
-    def value(self, c: Fraction, s: Fraction) -> Fraction:
-        """Exact proxy value at the circle point (c, s)."""
-        v = self.num.eval_at(c, s)
-        return v if self.den is None else v * self.den.eval_at(c, s)
-
-    def sign(self, chart: str, coord) -> int:
-        """Exact sign at a chart sample (see CircleChart.angle); 0 at zeros
-        and poles."""
-        if chart == "point":
-            return _sgn(self.value(*coord))
-        if chart == "half":
-            return self.half.sign(coord)
-        if chart not in ("tan", "tan2"):
-            raise ValueError(f"unknown chart {chart!r}")
-        p, flip = self.tan
-        v = p.sign(coord)
-        return -v if chart == "tan2" and flip else v
-
-
 _TAN_MISSED = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1)))  # pi/2, 3pi/2
 _HALF_MISSED = ((Fraction(-1), Fraction(0)),)  # pi
 
@@ -533,14 +487,15 @@ class CircleChart:
     'tan' on (-pi/2, pi/2), plus piece 'tan2' on the shifted half period when
     some function flips sign there, and the missed points pi/2 and 3pi/2.
     Otherwise it is the half-angle chart: piece 'half' and the missed point
-    pi. `pieces` holds (name, proxies) with one proxy per function, and
-    `points` holds ((cos, sin), proxy values) for the missed points.
+    pi. Each function is read through its sign proxy: `pieces` holds (name,
+    chart polynomials) with one per function, and `points` holds ((cos, sin),
+    proxy values) for the missed points.
     """
 
     def __init__(self, functions: Sequence[TrigLike]):
-        charts = [f.chart for f in functions]
-        if all(fc.pure for fc in charts):
-            tan = [fc.tan for fc in charts]
+        proxies = [_proxy(f) for f in functions]
+        if all(p.parity() is not None for p in proxies):
+            tan = [p._tan for p in proxies]
             self.pieces = [("tan", tuple(p for p, _ in tan))]
             if any(flip for _, flip in tan):
                 self.pieces.append(
@@ -548,10 +503,10 @@ class CircleChart:
                 )
             missed = _TAN_MISSED
         else:
-            self.pieces = [("half", tuple(fc.half for fc in charts))]
+            self.pieces = [("half", tuple(p._half for p in proxies))]
             missed = _HALF_MISSED
         self.points = [
-            ((c, s), tuple(fc.value(c, s) for fc in charts)) for c, s in missed
+            ((c, s), tuple(p.eval_at(c, s) for p in proxies)) for c, s in missed
         ]
 
     @cached_property
@@ -612,10 +567,16 @@ def _flip_sign_set(s: SignOnSet) -> SignOnSet:
     }[s]
 
 
-def definite_sign_report(f: TrigPoly) -> SignReport:
+def definite_sign_report(f: TrigLike) -> SignReport:
     """Exact sign classification of f over [0, 2pi] with witnesses, made on
-    first use and kept on f."""
-    return f._sign_report
+    first use and kept on the TrigPoly that is read.
+
+    A TrigRational is classified through its sign proxy, num*den of the
+    reduced form: identical wherever the function is defined, with poles
+    contributing their two-sided sign behavior (an odd-order pole forces
+    Mixed).
+    """
+    return _proxy(f)._sign_report
 
 
 def _classify_signs(f: TrigPoly) -> SignReport:
@@ -637,18 +598,6 @@ def _classify_signs(f: TrigPoly) -> SignReport:
         for want in (1, -1)
     )
     return SignReport(join_sign_sets(*signs), pos_at, neg_at)
-
-
-def definite_sign_on_period(f) -> SignOnSet:
-    """SignOnSet of a TrigPoly or TrigRational over one full period.
-
-    For rationals the classification is that of num*den of the reduced form:
-    identical wherever the function is defined, with poles contributing their
-    two-sided sign behavior (an odd-order pole forces Mixed).
-    """
-    if isinstance(f, TrigRational):
-        return definite_sign_report(f.sign_proxy()).sign
-    return definite_sign_report(f).sign
 
 
 def rotate_half(f: TrigPoly) -> TrigPoly:

@@ -6,7 +6,9 @@ criteria: the cubic right-hand side as a polynomial in x, the cofactors of
 the invariant curves x = 0 and a1 x = 1, the stability quadratic with the
 constant tail of its Sturm chain, the inverse of the normalization map, and
 the unscaled Sturm chain whose tail these closed forms are compared with.
-Exact values are taken at rational circle points.
+Exact values are taken at rational circle points. Witnesses are re-checked
+by the exact sign of each function's sign proxy at the witness sample, and
+resultants are checked against the determinant of the Sylvester matrix.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from abelcycles.abel import AbelEquation, FactoredAbel, NormalizedAbel
+from abelcycles.criteria import Witness
 from abelcycles.poly import RationalPoly, as_fraction
-from abelcycles.trig import TrigPoly, TrigRational
+from abelcycles.trig import TrigLike, TrigPoly, TrigRational
 
 
 def circle_point(u: Fraction) -> tuple[Fraction, Fraction]:
@@ -175,3 +178,50 @@ def sturm_sequence(p: RationalPoly) -> list[RationalPoly]:
     if chain[-1].is_zero:
         chain.pop()
     return chain
+
+
+def chart_sign(f: TrigLike, chart: str, coord) -> int:
+    """Exact sign of f at a chart sample (see CircleChart.angle), read from
+    its sign proxy; 0 at zeros and poles."""
+    p = f.sign_proxy() if isinstance(f, TrigRational) else f
+    if chart == "point":
+        v = p.eval_at(*coord)
+        return (v > 0) - (v < 0)
+    if chart == "half":
+        return p.half_angle_chart()[0].sign(coord)
+    if chart not in ("tan", "tan2"):
+        raise ValueError(f"unknown chart {chart!r}")
+    q, d = p.tan_chart()
+    v = q.sign(coord)
+    return -v if chart == "tan2" and d % 2 == 1 else v
+
+
+def witness_sign(f: TrigLike, w: Witness) -> int:
+    """Exact sign of f at the witness sample; 0 at zeros and poles."""
+    return chart_sign(f, w.chart, w.sample())
+
+
+def sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
+    """Res(p, q) as the determinant of the Sylvester matrix, by Gaussian
+    elimination over Q; p and q must be nonzero."""
+    n, m = p.degree, q.degree
+    size = n + m
+    rows = []
+    for k in range(m):
+        rows.append([Fraction(0)] * k + list(reversed(p.coeffs)) + [Fraction(0)] * (m - 1 - k))
+    for k in range(n):
+        rows.append([Fraction(0)] * k + list(reversed(q.coeffs)) + [Fraction(0)] * (n - 1 - k))
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            ratio = rows[r][col] / rows[col][col]
+            if ratio:
+                rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[col])]
+    return det

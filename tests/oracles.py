@@ -5,7 +5,8 @@ dense float sampling plus bisection, implications are dense sampling with a
 robustness margin. The chart references multiply the chart polynomials out
 term by term, by polynomial powers, instead of by binomial expansion. The
 numerical checks follow a trajectory started on an invariant curve, and
-integrate the stability integral of the a1 curve by the midpoint rule.
+integrate the stability integral of the a1 curve by the midpoint rule. Float
+values of exact polynomials are taken here too, for pointwise comparisons.
 """
 
 from __future__ import annotations
@@ -17,8 +18,22 @@ import numpy as np
 
 from abelcycles.abel import FactoredAbel
 from abelcycles.oracle import POLE_GUARD, CubicField, IntegratorConfig, _integrate_batch
+from abelcycles.planar import BivariatePoly
 from abelcycles.poly import RationalPoly
 from abelcycles.trig import TrigPoly
+
+
+def poly_float(p: RationalPoly, x: float) -> float:
+    """Float value of p at x, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def bivariate_float(p: BivariatePoly, x: float, y: float) -> float:
+    """Float value of p at (x, y)."""
+    return sum(float(c) * x**i * y**j for (i, j), c in p.terms)
 
 
 def _float_coeffs(p: RationalPoly) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from abelcycles import oracle
 from abelcycles.abel import FactoredAbel, classify_region
 from abelcycles.cli import main
-from abelcycles.criteria import Witness, witness_sign
+from abelcycles.criteria import Witness
 from abelcycles.gallery import (
     example1_factored,
     example1_input,
@@ -22,6 +22,8 @@ from abelcycles.gallery import (
 from abelcycles.oracle import component_grid, displacement_map, fiber_components
 from abelcycles.serialize import SchemaError, detect_schema, dumps, parse_input
 from abelcycles.trig import TrigPoly, TrigRational
+
+from identities import witness_sign
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from abelcycles.abel import FactoredAbel, NormalizedAbel, normalize
 from abelcycles.criteria import (
+    _root_product,
     Bound,
     Branch,
     CriterionVerdict,
@@ -26,7 +27,6 @@ from abelcycles.criteria import (
     eta_candidates,
     linear_parameter_feasible,
     obstruction_report,
-    witness_sign,
 )
 from abelcycles.planar import HomogeneousSystem, cherkas_transform
 from abelcycles.poly import RationalPoly, SignOnSet, sign_report_on_real_line
@@ -48,6 +48,7 @@ from data import (
     EX2_P3_TERMS,
     EX2_Q3_TERMS,
 )
+from identities import chart_sign, sylvester_resultant, witness_sign
 
 EX1_FACTORED = FactoredAbel.from_parts(EX1_A1, EX1_A2, EX1_B2)
 EX2_SYSTEM = HomogeneousSystem.of(EX2_A, EX2_N, EX2_P3_TERMS, EX2_Q3_TERMS)
@@ -108,8 +109,8 @@ class TestFactoredCriteria:
         ev = v.strictness
         assert ev is not None and ev.lo < ev.hi
         mid = (ev.lo + ev.hi) / 2
-        assert EX1_A1.chart.sign(ev.chart, mid) == -1
-        assert EX1_A2.chart.sign(ev.chart, mid) == 1
+        assert chart_sign(EX1_A1, ev.chart, mid) == -1
+        assert chart_sign(EX1_A2, ev.chart, mid) == 1
 
     def test_gallery_no_cycle_fails_with_checkable_witnesses(self):
         v = check_no_cycle(EX1_FACTORED, EX1_ETA)
@@ -550,6 +551,38 @@ small_planes = st.lists(
 )
 
 
+def _from_roots(*roots) -> RationalPoly:
+    out = RationalPoly.constant(1)
+    for x in roots:
+        out = out * RationalPoly.from_coeffs([-x, 1])
+    return out
+
+
+class TestRootProduct:
+    """_root_product(c, f) is Res(c, f) / lc(c)^deg f, the product of f over
+    the roots of c; it vanishes exactly when c and f share a root."""
+
+    @pytest.mark.parametrize(
+        "c,f,expected",
+        [
+            (_from_roots(1, 2), _from_roots(1), 0),
+            (_from_roots(1, 1).scale(3), _from_roots(1), 0),
+            (_from_roots(1, 2), _from_roots(3), 2),
+            (_from_roots(1, 2, 3), _from_roots(2, 5), 0),
+            (_from_roots(1, 2), RationalPoly.constant(4), 16),
+        ],
+    )
+    def test_fixed_cases(self, c, f, expected):
+        assert _root_product(c, f) == expected
+        assert _root_product(c, f) == sylvester_resultant(c, f) / c.leading**f.degree
+
+    @given(small_polys, small_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_sylvester_determinant(self, c, f):
+        assume(c.degree > 0 and not f.is_zero)
+        assert _root_product(c, f) == sylvester_resultant(c, f) / c.leading**f.degree
+
+
 class TestFeasibilityEngine:
     def test_root_obstruction_certificate(self):
         # x + mu*x^2 is negative near the root 1 of (t-1) shifted: use
@@ -631,9 +664,7 @@ class TestFeasibilityEngine:
         out = definite_combination_feasible(base, mult, 1)
         assert out.status == "Feasible"
         got = TrigRational.constant(1) + mult.scale(out.value)
-        from abelcycles.trig import definite_sign_on_period
-
-        assert definite_sign_on_period(got.sign_proxy()).is_nonnegative
+        assert definite_sign_report(got).sign.is_nonnegative
 
     def test_combination_infeasible_on_circle(self):
         # sin + mu*sin*cos changes sign for every mu

@@ -38,6 +38,7 @@ from data import (
     RIGID_K,
     RIGID_P_TERMS,
 )
+from oracles import bivariate_float
 
 
 def ex1_rigid() -> RigidSystem:
@@ -58,8 +59,8 @@ class TestBivariatePoly:
         q = BivariatePoly.from_terms({(1, 1): F(1, 2)})
         s = p + q.scale(4)
         for x, y in [(0.3, -1.2), (2.0, 0.5)]:
-            assert s.evaluate_float(x, y) == pytest.approx(
-                p.evaluate_float(x, y) + 4 * q.evaluate_float(x, y)
+            assert bivariate_float(s, x, y) == pytest.approx(
+                bivariate_float(p, x, y) + 4 * bivariate_float(q, x, y)
             )
 
     def test_layers(self):
@@ -130,8 +131,8 @@ class TestDetectRigid:
         rng = random.Random(7)
         for _ in range(20):
             x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            xd = sys.xdot.evaluate_float(x, y)
-            yd = sys.ydot.evaluate_float(x, y)
+            xd = bivariate_float(sys.xdot, x, y)
+            yd = bivariate_float(sys.ydot, x, y)
             assert (x * yd - y * xd) / (x * x + y * y) == pytest.approx(1.0)
 
 
@@ -158,8 +159,8 @@ class TestRigidToAbel:
             theta = rng.uniform(0, 2 * math.pi)
             rad = rng.uniform(0.05, 0.8)
             x, y = rad * math.cos(theta), rad * math.sin(theta)
-            xd = sys.xdot.evaluate_float(x, y)
-            yd = sys.ydot.evaluate_float(x, y)
+            xd = bivariate_float(sys.xdot, x, y)
+            yd = bivariate_float(sys.ydot, x, y)
             rdot = (x * xd + y * yd) / rad
             rho = rad**r.k
             rhodot = r.k * rad ** (r.k - 1) * rdot

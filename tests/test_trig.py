@@ -26,14 +26,14 @@ from abelcycles.trig import (
     TrigPoly,
     TrigRational,
     cancel_pole_combination,
-    definite_sign_on_period,
     definite_sign_report,
     has_odd_order_pole,
     vanishing_order_at_pi,
 )
-from identities import circle_point
+from identities import chart_sign, circle_point
 from oracles import (
     half_angle_chart_reference,
+    poly_float,
     tan_substitute_reference,
     trig_grid_extrema,
 )
@@ -82,6 +82,11 @@ class TestCanonicalForm:
         # c^2 s - s + s^3 = s (c^2 - 1 + s^2) = 0
         f = TrigPoly.from_terms([(2, 1, 1), (0, 1, -1), (0, 3, 1)])
         assert f.is_zero
+
+    @pytest.mark.parametrize("term", [(-1, 0, 1), (0, -1, 1), (-1, -1, 1)])
+    def test_negative_powers_are_rejected(self, term):
+        with pytest.raises(ValueError):
+            TrigPoly.from_terms([term])
 
     @given(trig_polys(), trig_polys(), st.fractions(max_denominator=12))
     @settings(max_examples=60, deadline=None)
@@ -188,7 +193,7 @@ class TestTangentChart:
             return
         p, d = f.tan_chart()
         theta = math.atan(float(t))
-        assert math.cos(theta) ** d * p.evaluate_float(float(t)) == pytest.approx(
+        assert math.cos(theta) ** d * poly_float(p, float(t)) == pytest.approx(
             f.evaluate_float(theta), abs=1e-7
         )
 
@@ -357,7 +362,8 @@ class TestReduceOnce:
         assert f.half_angle_pair() == r.half_angle_pair()
         # the pair a fresh copy derives equals the one the reduced form carries
         assert TrigRational(r.num, r.den).half_angle_pair() == r.half_angle_pair()
-        assert f.chart is r.chart
+        # the chart polynomials are kept on the shared proxy
+        assert CircleChart((f,)).pieces[0][1][0] is CircleChart((r,)).pieces[0][1][0]
         proxy = f.sign_proxy()
         assert proxy == r.num * r.den
         # one proxy per reduced form, so its chart and sign report are kept
@@ -375,6 +381,91 @@ class TestReduceOnce:
         assert {g.pole_free() for g in fs} == {True, False}
         assert {has_odd_order_pole(g) for g in fs} == {True, False}
         assert any(not g.pole_free() and not has_odd_order_pole(g) for g in fs)
+
+
+def _num_den_chart(r: TrigRational) -> tuple[list, list]:
+    """(pieces, points) of the chart built from the reduced numerator and
+    denominator separately: the product of their chart polynomials, in the
+    tangent chart when both have pure parity."""
+    r = r.reduced()
+    one = TrigPoly.constant(1)
+    num, den = (r.num, one) if r.is_zero else (r.num, r.den)
+    if num.parity() is not None and den.parity() is not None:
+        (p, d), (q, e) = num.tan_chart(), den.tan_chart()
+        pieces = [("tan", (p * q,))]
+        if (d + e) % 2:
+            pieces.append(("tan2", ((p * q).scale(-1),)))
+        missed = [(F(0), F(1)), (F(0), F(-1))]
+    else:
+        pieces = [("half", (num.half_angle_chart()[0] * den.half_angle_chart()[0],))]
+        missed = [(F(-1), F(0))]
+    points = [((c, s), (num.eval_at(c, s) * den.eval_at(c, s),)) for c, s in missed]
+    return pieces, points
+
+
+class TestOneSignProxy:
+    """The charts of a product are the products of the charts, so a rational
+    function's chart read from its sign proxy (num*den of the reduced form)
+    equals the one built from numerator and denominator separately."""
+
+    @given(trig_polys(), trig_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_half_angle_chart_of_a_product(self, f, g):
+        assert (f * g).half_angle_chart()[0] == (
+            f.half_angle_chart()[0] * g.half_angle_chart()[0]
+        )
+
+    @given(trig_polys(), trig_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_tan_chart_of_a_product(self, f, g):
+        if f.parity() is None or g.parity() is None:
+            return
+        (p, d), (q, e) = f.tan_chart(), g.tan_chart()
+        prod, degree = (f * g).tan_chart()
+        assert prod == p * q
+        if not (f * g).is_zero:
+            assert degree == d + e
+
+    @given(trig_polys(max_power=3, max_terms=4), trig_polys(max_power=3, max_terms=4))
+    @settings(max_examples=40, deadline=None)
+    def test_circle_chart_of_a_rational(self, n, d):
+        if d.is_zero:
+            return
+        r = TrigRational(n, d)
+        chart = CircleChart((r,))
+        pieces, points = _num_den_chart(r)
+        if chart.pieces[0][0] == pieces[0][0]:
+            assert (chart.pieces, chart.points) == (pieces, points)
+        else:
+            # numerator and denominator of mixed parity whose product is pure
+            assert pieces[0][0] == "half" and r.sign_proxy().parity() is not None
+
+    @pytest.mark.parametrize("r", GALLERY_RATIONALS)
+    def test_circle_chart_of_the_fixed_rationals(self, r):
+        chart = CircleChart((r,))
+        assert (chart.pieces, chart.points) == _num_den_chart(r)
+
+    def test_pole_at_pi(self):
+        one, c, s = TrigPoly.constant(1), TrigPoly.coswave(), TrigPoly.sinwave()
+        chart = CircleChart((TrigRational(s, one + c),))
+        assert [name for name, _ in chart.pieces] == ["half"]
+        # tan(t/2) vanishes with its pole at pi, so the proxy value there is 0
+        assert chart.points == [((F(-1), F(0)), (F(0),))]
+
+    def test_zero_rational(self):
+        chart = CircleChart((TrigRational.zero(),))
+        assert chart.pieces == [("tan", (RationalPoly.zero(),))]
+        assert chart.cells is None
+        assert (chart.pieces, chart.points) == _num_den_chart(TrigRational.zero())
+
+    def test_mixed_factors_with_a_pure_product_use_the_tangent_chart(self):
+        # (1 + cos)/(1 - cos): both factors have mixed parity, the proxy
+        # (1 - cos^2)/4 is even, so the chart is the tangent one
+        one, c = TrigPoly.constant(1), TrigPoly.coswave()
+        r = TrigRational(one + c, one - c)
+        assert r.sign_proxy().parity() == 0
+        assert [name for name, _ in CircleChart((r,)).pieces] == ["tan"]
+        assert _num_den_chart(r)[0][0][0] == "half"
 
 
 class TestNoReferenceCycles:
@@ -444,7 +535,7 @@ class TestSignClassification:
         ],
     )
     def test_frozen_classifications(self, f, expected):
-        assert definite_sign_on_period(f) is expected
+        assert definite_sign_report(f).sign is expected
 
     @pytest.mark.parametrize(
         "r,expected",
@@ -467,18 +558,18 @@ class TestSignClassification:
         ],
     )
     def test_rational_classifications_via_proxy(self, r, expected):
-        assert definite_sign_on_period(r) is expected
+        assert definite_sign_report(r).sign is expected
 
     def test_even_order_pole_keeps_one_sided_sign(self):
         # 1/cos^2 is positive wherever defined; the pole itself counts as a
         # sign-degenerate point, so the verdict is the non-strict class
         r = TrigRational(TrigPoly.constant(1), TrigPoly.coswave(2))
-        assert definite_sign_on_period(r) is SignOnSet.NON_NEGATIVE
+        assert definite_sign_report(r).sign is SignOnSet.NON_NEGATIVE
 
     @given(trig_polys())
     @settings(max_examples=80, deadline=None)
     def test_classification_consistent_with_grid(self, f):
-        verdict = definite_sign_on_period(f)
+        verdict = definite_sign_report(f).sign
         lo, hi = trig_grid_extrema(f)
         if verdict.is_nonnegative:
             assert lo >= -1e-9
@@ -496,10 +587,10 @@ class TestSignClassification:
     def test_witness_samples_have_claimed_signs(self, f):
         report = definite_sign_report(f)
         if report.positive_at is not None:
-            assert f.chart.sign(*report.positive_at) == 1
+            assert chart_sign(f, *report.positive_at) == 1
             assert f.evaluate_float(CircleChart.angle(*report.positive_at)) > 0
         if report.negative_at is not None:
-            assert f.chart.sign(*report.negative_at) == -1
+            assert chart_sign(f, *report.negative_at) == -1
             assert f.evaluate_float(CircleChart.angle(*report.negative_at)) < 0
         if report.sign is SignOnSet.MIXED:
             assert report.positive_at is not None
