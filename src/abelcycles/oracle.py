@@ -1,17 +1,18 @@
 """Numerical displacement-map oracle for periodic Abel equations.
 
 The exact criteria certify bounds; this module independently measures them.
-It integrates x' = x (C1 + C2 x + C3 x^2) with an embedded adaptive
-Runge-Kutta 5(4) pair (Dormand-Prince coefficients, FSAL), co-integrating the
-variational equation so the derivative of the displacement map comes from the
-flow itself rather than finite differences. Sweeps are vectorized over the
-initial conditions with a shared adaptive step and per-sample escape flags;
-x and z travel as one stacked (2, n) state, so each stage of a step is one
-array operation. A sample is flagged escaped as soon as a comparison bound
-proves that it blows up before the end of the span, so it stops costing
-steps. Only the tolerances rtol and atol are settable (IntegratorConfig);
-the largest step, the pole guard, the x window, the smallest step and the
-step budget are module constants.
+It integrates x' = x (C1 + C2 x + C3 x^2) with DOP853, the adaptive
+12-stage Runge-Kutta pair of order 8 with 5th- and 3rd-order error
+estimates (Dormand-Prince coefficients, as in Hairer's dop853.f),
+co-integrating the variational equation so the derivative of the
+displacement map comes from the flow itself rather than finite differences.
+Sweeps are vectorized over the initial conditions with a shared adaptive
+step and per-sample escape flags; x and z travel as one stacked (2, n)
+state, so each stage of a step is one array operation. A sample is flagged
+escaped as soon as a comparison bound proves that it blows up before the
+end of the span, so it stops costing steps. Only the tolerances rtol and
+atol are settable (IntegratorConfig); the largest step, the pole guard, the
+x window, the smallest step and the step budget are module constants.
 
 A sign change of the displacement between grid neighbours is refined by
 safeguarded Newton on the variational d', in one-sample solves on a scalar
@@ -259,26 +260,76 @@ class CubicField:
         return np.abs(x) > self.reach(t, t1)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+# DOP853, the 8th-order pair of Dormand & Prince with the 5th- and
+# 3rd-order error estimates of Hairer's dop853.f (Hairer, Norsett & Wanner
+# I, II.10). The literals are the doubles of scipy's
+# integrate/_ivp/dop853_coefficients.py (BSD), which copies dop853.f (_E3
+# is its E3, _B less dop853.f's bhh); only the nonzero entries are written.
+# Stage i is evaluated at t + _C[i] h on y + h sum a k_j over the (j, a) of
+# _A[i]; the step is y + h sum b k_j over the (j, b) of _B, and _E5, _E3
+# weigh the two error estimates.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+)
+_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
 )
-_DP_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+_B = (
+    (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.04471061572777259),
 )
+_E5 = (
+    (0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+    (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+    (10, 0.08192320648511571), (11, -0.022355307863886294),
+)
+_E3 = (
+    (0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.02265179219836082),
+)
+_EXPONENT = -1.0 / 8  # of the step controller, for an 8th-order pair
+
+
+def _combine(y, h, weights, ks):
+    """y + h sum w k_j over the (j, w) of weights, one term at a time, in
+    the same order for arrays and for floats."""
+    for j, w in weights:
+        y = y + h * w * ks[j]
+    return y
+
+
+def _blend(e5, e3):
+    """dop853.f's error of one component from its scaled 5th- and 3rd-order
+    estimates, e5^2 / sqrt(e5^2 + 0.01 e3^2); 0 where both vanish."""
+    sq = e5 * e5
+    deno = sq + 0.01 * (e3 * e3)
+    if isinstance(sq, float):
+        return sq / math.sqrt(deno) if deno != 0.0 else 0.0
+    return np.where(deno == 0.0, 0.0, sq / np.sqrt(deno))
 
 
 def _integrate_batch(
@@ -292,89 +343,99 @@ def _integrate_batch(
     factor z (dx(t1)/dx0), escape flags, and per-sample escape reasons.
 
     The state is one (2, n) array, x over z, so every stage combination,
-    the error estimate and the accept step are one array operation each."""
+    the error estimate and the accept step are one array operation each. An
+    escaping sample leaves the state with its x and z at that moment, so the
+    error norm is the maximum over the samples still moving, and later steps
+    do no work for it."""
     x = np.asarray(x0, dtype=float)
-    y = np.empty((2,) + x.shape)
-    y[0] = x
-    y[1] = 1.0
+    out = np.empty((2,) + x.shape)
+    out[0] = x
+    out[1] = 1.0
     escaped = np.zeros(x.shape, dtype=bool)
     reasons = [""] * x.size
     span = t1 - t0
     if span <= 0:
-        return y[0], y[1], escaped, reasons
+        return out[0], out[1], escaped, reasons
     h_max = span * MAX_STEP_FRACTION
     h = h_max / 8
     t = t0
-    active = np.ones(x.shape, dtype=bool)
+    # the samples still moving: their columns of out, and their state
+    cols = np.arange(x.size)
+    y = out.copy()
+    k1 = None
 
     def mark(mask: np.ndarray, why: str):
-        for idx in np.nonzero(mask)[0]:
-            if not escaped[idx]:
-                reasons[idx] = why
-        escaped[mask] = True
-        active[mask] = False
+        """Stop the masked samples: keep their state in out and drop them
+        from y (and k1)."""
+        nonlocal cols, y, k1
+        gone = cols[mask]
+        for idx in gone:
+            reasons[idx] = why
+        escaped[gone] = True
+        out[:, gone] = y[:, mask]
+        keep = ~mask
+        cols, y = cols[keep], y[:, keep]
+        if k1 is not None:
+            k1 = k1[:, keep]
 
     with np.errstate(all="ignore"):
-        big = np.abs(y[0]) > X_MAX
-        mark(big, "initial condition beyond x_max")
-        mark(active & field.blows_up(t, t1, y[0]), BLOWUP_REASON)
+        mark(np.abs(y[0]) > X_MAX, "initial condition beyond x_max")
+        mark(field.blows_up(t, t1, y[0]), BLOWUP_REASON)
         try:
             k1 = field(t, y[0], y[1])
         except _PoleGuard as exc:
-            mark(active.copy(), str(exc))
-            return y[0], y[1], escaped, reasons
+            mark(np.ones(cols.size, dtype=bool), str(exc))
+            return out[0], out[1], escaped, reasons
 
         steps = 0
-        while t < t1 - 1e-14 * span and active.any():
+        while t < t1 - 1e-14 * span and cols.size:
             steps += 1
             if steps > MAX_STEPS:
-                mark(active.copy(), "step budget exhausted")
+                mark(np.ones(cols.size, dtype=bool), "step budget exhausted")
                 break
             h = min(h, t1 - t)
             ks = [k1]
             try:
-                for stage in range(1, 7):
-                    ya = y
-                    for coeff, k in zip(_DP_A[stage], ks):
-                        ya = ya + h * coeff * k
-                    ks.append(field(t + _DP_C[stage] * h, ya[0], ya[1]))
+                for c, row in zip(_C[1:], _A[1:]):
+                    ya = _combine(y, h, row, ks)
+                    ks.append(field(t + c * h, ya[0], ya[1]))
+                y8 = _combine(y, h, _B, ks)
+                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y8))
+                part = _blend(np.abs(_combine(0.0, h, _E5, ks)) / scale,
+                              np.abs(_combine(0.0, h, _E3, ks)) / scale)
+                ratio = np.maximum(part[0], part[1])
+                finite = np.isfinite(ratio)
+                bad = ~finite | ~np.isfinite(y8[0])
+                ratio = np.where(finite, ratio, np.inf)
+                enorm = float(ratio.max(initial=0.0))
+                if enorm > 1.0 or bad.any():
+                    if h <= MIN_STEP * 1.0001:
+                        # cannot shrink further: drop the offending samples,
+                        # keep the rest moving
+                        mark(ratio > 1.0, "step-size underflow (blow-up or stiffness)")
+                        continue
+                    h = _next_step(h, enorm, False, h_max)
+                    continue
+                # the derivative at the new point is the next step's first
+                # stage; it is evaluated only once the step is accepted
+                k8 = field(t + h, y8[0], y8[1])
             except _PoleGuard as exc:
                 h *= 0.25
                 if h < MIN_STEP:
-                    mark(active.copy(), str(exc))
+                    mark(np.ones(cols.size, dtype=bool), str(exc))
                     break
                 continue
-            # stage 7 state is the 5th-order solution (FSAL)
-            y5 = ya
-            err = h * _DP_ERR[0] * ks[0]
-            for coeff, k in zip(_DP_ERR[1:], ks[1:]):
-                err = err + h * coeff * k
-            part = np.abs(err) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
-            ratio = np.maximum(part[0], part[1])
-            finite = np.isfinite(ratio)
-            bad = active & (~finite | ~np.isfinite(y5[0]))
-            ratio = np.where(finite, ratio, np.inf)
-            enorm = float(ratio.max(initial=0.0, where=active))
-            if enorm > 1.0 or bad.any():
-                if h <= MIN_STEP * 1.0001:
-                    # cannot shrink further: drop the offending samples, keep
-                    # the rest moving
-                    worst = active & (ratio > 1.0)
-                    mark(worst, "step-size underflow (blow-up or stiffness)")
-                    continue
-                h = _next_step(h, enorm, False, h_max)
-                continue
             t += h
-            y = np.where(active, y5, y)
-            k1 = ks[6]
-            big = active & (np.abs(y[0]) > X_MAX)
+            y, k1 = y8, k8
+            big = np.abs(y[0]) > X_MAX
             if big.any():
                 mark(big, "left the x_max window")
-            doomed = active & field.blows_up(t, t1, y[0])
+            doomed = field.blows_up(t, t1, y[0])
             if doomed.any():
                 mark(doomed, BLOWUP_REASON)
             h = _next_step(h, enorm, True, h_max)
-    return y[0], y[1], escaped, reasons
+    out[:, cols] = y
+    return out[0], out[1], escaped, reasons
 
 
 def _integrate_one(field: CubicField, t0: float, t1: float, x0: float,
@@ -400,37 +461,35 @@ def _integrate_one(field: CubicField, t0: float, t1: float, x0: float,
         steps += 1
         if steps > MAX_STEPS:
             return x, z, True, "step budget exhausted"
-        h, ks = min(h, t1 - t), [k1]
+        h = min(h, t1 - t)
+        kx, kz = [k1[0]], [k1[1]]
         try:
-            for stage in range(1, 7):
-                xa, za = x, z
-                for coeff, (kx, kz) in zip(_DP_A[stage], ks):
-                    xa = xa + h * coeff * kx
-                    za = za + h * coeff * kz
-                ks.append(field(t + _DP_C[stage] * h, xa, za))
+            for c, row in zip(_C[1:], _A[1:]):
+                dx, dz = field(t + c * h, _combine(x, h, row, kx), _combine(z, h, row, kz))
+                kx.append(dx)
+                kz.append(dz)
+            x8, z8 = _combine(x, h, _B, kx), _combine(z, h, _B, kz)
+            # the new state first, so that a NaN wins as in np.maximum
+            sx = cfg.atol + cfg.rtol * max(abs(x8), abs(x))
+            sz = cfg.atol + cfg.rtol * max(abs(z8), abs(z))
+            px = _blend(abs(_combine(0.0, h, _E5, kx)) / sx, abs(_combine(0.0, h, _E3, kx)) / sx)
+            pz = _blend(abs(_combine(0.0, h, _E5, kz)) / sz, abs(_combine(0.0, h, _E3, kz)) / sz)
+            ratio = max(px, pz) if math.isfinite(px) and math.isfinite(pz) else math.inf
+            if ratio > 1.0 or not math.isfinite(x8):
+                if h <= MIN_STEP * 1.0001:
+                    if ratio > 1.0:
+                        return x, z, True, "step-size underflow (blow-up or stiffness)"
+                    continue
+                h = _next_step(h, ratio, False, h_max)
+                continue
+            k1 = field(t + h, x8, z8)
         except _PoleGuard as exc:
             h *= 0.25
             if h < MIN_STEP:
                 return x, z, True, str(exc)
             continue
-        ex, ez = h * _DP_ERR[0] * ks[0][0], h * _DP_ERR[0] * ks[0][1]
-        for coeff, (kx, kz) in zip(_DP_ERR[1:], ks[1:]):
-            ex = ex + h * coeff * kx
-            ez = ez + h * coeff * kz
-        # the new state first, so that a NaN wins as in np.maximum
-        px = abs(ex) / (cfg.atol + cfg.rtol * max(abs(xa), abs(x)))
-        pz = abs(ez) / (cfg.atol + cfg.rtol * max(abs(za), abs(z)))
-        ratio = max(px, pz) if math.isfinite(px) and math.isfinite(pz) else math.inf
-        if ratio > 1.0 or not math.isfinite(xa):
-            if h <= MIN_STEP * 1.0001:
-                if ratio > 1.0:
-                    return x, z, True, "step-size underflow (blow-up or stiffness)"
-                continue
-            h = _next_step(h, ratio, False, h_max)
-            continue
         t += h
-        x, z = xa, za
-        k1 = ks[6]
+        x, z = x8, z8
         if abs(x) > X_MAX:
             return x, z, True, "left the x_max window"
         if abs(x) > field.reach(t, t1):
@@ -441,12 +500,13 @@ def _integrate_one(field: CubicField, t0: float, t1: float, x0: float,
 
 def _next_step(h: float, enorm: float, accepted: bool, h_max: float) -> float:
     """The step after one of error norm enorm (Hairer, Norsett & Wanner I,
-    II.4): h times 0.9 enorm^(-1/5) and at least 0.2 h; after a rejected
-    step at least MIN_STEP, after an accepted one at most 5 h and h_max."""
+    II.4): h times 0.9 enorm^_EXPONENT (-1/8) and at least 0.2 h; after a
+    rejected step at least MIN_STEP, after an accepted one at most 5 h and
+    h_max."""
     if accepted:
-        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** (-0.2)))
+        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** _EXPONENT))
         return min(h * factor, h_max)
-    return max(h * max(0.2, 0.9 * enorm ** (-0.2) if enorm > 0 else 0.2), MIN_STEP)
+    return max(h * max(0.2, 0.9 * enorm ** _EXPONENT if enorm > 0 else 0.2), MIN_STEP)
 
 
 def displacement_map(

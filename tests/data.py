@@ -137,3 +137,12 @@ def random_instance(rng: random.Random) -> FactoredAbel:
     return FactoredAbel.from_parts(
         a1, TrigRational.from_poly(a2), TrigRational.from_poly(b2)
     )
+
+
+def family_member(a1: TrigPoly, g: TrigPoly, alpha: int, beta: int) -> FactoredAbel:
+    """a2 = alpha g a1 and b2 = beta g, for a strictly signed a1: in the chart
+    y = a1 x the equation is y' = g y (y - 1)(alpha y - beta), which
+    oracles.family_flow solves in closed form."""
+    return FactoredAbel.from_parts(
+        a1, TrigRational.from_poly((g * a1).scale(alpha)), TrigRational.from_poly(g.scale(beta))
+    )

@@ -207,6 +207,45 @@ def verify_invariance(
     return worst
 
 
+def family_flow(alpha: int, beta: int, tau: float, y0: float) -> Optional[float]:
+    """u(tau, y0) for y' = y (y - 1)(alpha y - beta), tau > 0, or None when
+    the orbit reaches infinity first. With y* = beta/alpha, partial fractions
+    give the first integral H(y) = ln|y|/beta + ln|y - 1|/(alpha - beta)
+    + ln|alpha y - beta|/(alpha y* (y* - 1)), with H' = 1/y', so
+    H(u) = H(y0) + tau. H is finite at infinity, and u is found by bisection
+    in mpmath at 40 digits between y0 and the next root or infinity ahead."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        star = b / a
+
+        def H(y):
+            return (mpmath.log(abs(y)) / b + mpmath.log(abs(y - 1)) / (a - b)
+                    + mpmath.log(abs(a * y - b)) / (a * star * (star - 1)))
+
+        y = mpmath.mpf(y0)
+        ahead = 1 if y * (y - 1) * (a * y - b) > 0 else -1
+        target = H(y) + mpmath.mpf(tau)
+        roots = [r for r in (mpmath.mpf(0), mpmath.mpf(1), star) if (r - y) * ahead > 0]
+        if roots:
+            end = min(roots, key=lambda r: abs(r - y))
+        else:
+            end = ahead * mpmath.mpf(10) ** 30  # H there is H(infinity) to 1e-29
+            if H(end) <= target:
+                return None
+        lo, hi = y, end
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            if H(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+            if abs(hi - lo) <= mpmath.mpf(10) ** -30 * (1 + abs(mid)):
+                break
+        return (lo + hi) / 2
+
+
 def stability_integral(f: FactoredAbel, eta: float = 0.0, panels: int = 4096) -> float:
     """Numeric value of exp(integral of a1 b2 - a2 + eta a1'/a1) - 1 over one
     period; in the two-component region its sign matches the measured

@@ -38,7 +38,9 @@ it with
         --out SCRATCH/NAME.json > tests/golden/oracle/NAME.out
     cp SCRATCH/NAME.csv tests/golden/oracle/NAME.csv
 
-where SCRATCH is any other directory.
+where SCRATCH is any other directory. `ORACLE_FIELD_CALLS` bounds the
+CubicField evaluations of each oracle pin, a cost that does not depend on
+the machine; lower it when a change makes a pin cheaper.
 """
 
 from pathlib import Path
@@ -46,6 +48,7 @@ from pathlib import Path
 import pytest
 
 from abelcycles.cli import main
+from abelcycles.oracle import CubicField
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -54,6 +57,16 @@ ORACLE_GRIDS = {
     "a1positive-varying-a1": 20,
     "constant-a1neg-locate": 10,
     "near-constant-locate": 10,
+}
+
+
+# CubicField evaluations of each oracle pin, counted when the pins were last
+# regenerated: a count that does not depend on the machine's speed
+ORACLE_FIELD_CALLS = {
+    "a1positive-sweep": 865,
+    "a1positive-varying-a1": 766,
+    "constant-a1neg-locate": 5400,
+    "near-constant-locate": 1404,
 }
 
 
@@ -85,3 +98,20 @@ def test_oracle_output_is_byte_identical(name, capsys, tmp_path):
     assert capsys.readouterr().out == expected
     assert out.read_text() == expected
     assert (tmp_path / "out.csv").read_bytes() == (GOLDEN / "oracle" / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+def test_oracle_field_evaluations_within_the_recorded_count(name, monkeypatch, tmp_path):
+    calls = 0
+    evaluate = CubicField.__call__
+
+    def counted(self, t, x, z):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, t, x, z)
+
+    monkeypatch.setattr(CubicField, "__call__", counted)
+    argv = ["oracle", "--input", str(GOLDEN / "oracle" / f"{name}.json"),
+            "--grid", str(ORACLE_GRIDS[name]), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert calls <= ORACLE_FIELD_CALLS[name]

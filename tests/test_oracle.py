@@ -3,9 +3,12 @@
 import csv
 import functools
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +32,8 @@ from abelcycles.oracle import (
 from abelcycles.planar import HomogeneousSystem, cherkas_transform
 from abelcycles.trig import TrigPoly, TrigRational
 
-from data import EX1_A1, EX1_A2, EX1_B2, random_instance
-from oracles import stability_integral, verify_invariance
+from data import EX1_A1, EX1_A2, EX1_B2, family_member, random_instance
+from oracles import family_flow, stability_integral, verify_invariance
 
 CFG = IntegratorConfig()
 
@@ -66,11 +69,14 @@ class TestIntegrator:
         assert abs(x[0] - math.e) < 1e-8
 
     def test_tolerance_halving_improves_accuracy(self):
+        # over [0, 5]: on [0, 1] the largest step caps the solve at 20 steps,
+        # and both tolerances reach the rounding floor there
         loose = IntegratorConfig(rtol=1e-6, atol=1e-8)
         tight = IntegratorConfig(rtol=1e-12, atol=1e-14)
         field = CubicField(linear_equation())
-        err_loose = abs(oracle._integrate_batch(field, 0.0, 1.0, [1.0], loose)[0][0] - math.e)
-        err_tight = abs(oracle._integrate_batch(field, 0.0, 1.0, [1.0], tight)[0][0] - math.e)
+        exact = math.exp(5.0)
+        err_loose = abs(oracle._integrate_batch(field, 0.0, 5.0, [1.0], loose)[0][0] - exact)
+        err_tight = abs(oracle._integrate_batch(field, 0.0, 5.0, [1.0], tight)[0][0] - exact)
         assert err_tight < err_loose
         assert err_tight < 1e-10
 
@@ -189,11 +195,11 @@ class TestScalarKernel:
         assert one_vs_batch(field, 0.0, field.period, 1.0)[2:] == (True, "step budget exhausted")
 
     def test_step_size_underflow(self, monkeypatch):
-        # the first step, h_max/8 = 0.125, is already at MIN_STEP, and x' = x
+        # the first step, h_max/8 = 1.25, is already at MIN_STEP, and x' = x
         # misses the tolerance on it
-        monkeypatch.setattr(oracle, "MIN_STEP", 0.125)
+        monkeypatch.setattr(oracle, "MIN_STEP", 1.25)
         field = CubicField(linear_equation())
-        assert one_vs_batch(field, 0.0, 20.0, 1.0)[2:] == (
+        assert one_vs_batch(field, 0.0, 200.0, 1.0)[2:] == (
             True, "step-size underflow (blow-up or stiffness)"
         )
 
@@ -234,6 +240,54 @@ class TestScalarKernel:
             for x0 in (0.0, 0.25, -0.5):
                 one_vs_batch(field, 0.0, field.period, x0)
         assert one_vs_batch(CubicField(EX1), 1.0, 1.0, 0.3) == (0.3, 1.0, False, "")
+
+
+class TestTableau:
+    """The DOP853 literals: each row of A sums to its node, the weights
+    integrate c^k exactly up to order 8, and both error weights vanish on a
+    constant derivative."""
+
+    def test_row_sums_are_the_nodes(self):
+        assert len(oracle._A) == len(oracle._C) == 12
+        assert sum(len(row) for row in oracle._A) == 50
+        for c, row in zip(oracle._C, oracle._A):
+            assert abs(sum(a for _, a in row) - c) < 1e-14
+
+    def test_weights_integrate_powers_of_the_nodes(self):
+        for k in range(8):
+            total = sum(b * oracle._C[j] ** k for j, b in oracle._B)
+            assert abs(total - 1.0 / (k + 1)) < 1e-14
+
+    def test_error_weights_sum_to_zero(self):
+        for weights in (oracle._E5, oracle._E3):
+            assert abs(sum(w for _, w in weights)) < 1e-14
+
+    def test_literals_equal_scipys(self):
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+
+        def dense(weights):
+            out = np.zeros(ref.N_STAGES + 1)
+            for j, w in weights:
+                out[j] = w
+            return out
+
+        assert oracle._C == tuple(ref.C[: ref.N_STAGES])
+        a = np.array([dense(row)[: ref.N_STAGES] for row in oracle._A])
+        assert np.array_equal(a, ref.A[: ref.N_STAGES, : ref.N_STAGES])
+        assert np.array_equal(dense(oracle._B)[: ref.N_STAGES], ref.B)
+        assert np.array_equal(dense(oracle._E5), ref.E5)
+        assert np.array_equal(dense(oracle._E3), ref.E3)
+
+
+def test_cli_imports_no_reference_library():
+    # scipy, mpmath and sympy serve the tests only; the library is numpy-only
+    code = ("import sys, abelcycles.cli; "
+            "print(sorted({'scipy', 'mpmath', 'sympy'} & set(sys.modules)))")
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestDisplacementMap:
@@ -874,3 +928,53 @@ class TestStabilityIntegral:
         measured = z[0] - 1.0
         assert (predicted > 0) == (measured > 0)
         assert abs(predicted - measured) < 1e-6
+
+
+FAMILY_G = TrigPoly.constant(1) + TrigPoly.sinwave(1, Fraction(1, 2))  # mean 1
+
+
+@functools.lru_cache(maxsize=None)
+def family_report(a1c: int, a1w: Fraction, alpha: int, beta: int):
+    a1 = TrigPoly.constant(a1c) + TrigPoly.coswave(1, a1w)
+    return count_cycles_in_V(family_member(a1, FAMILY_G, alpha, beta), CFG, 40)
+
+
+def assert_d_is_the_closed_form(samples, alpha, beta, a10=1.0):
+    """d of every bounded sample within 1e-9 relative of the closed form,
+    with x = y / a10 (y = a1 x, and a1(T) = a1(0))."""
+    bounded = [s for s in samples if not s.escaped]
+    assert bounded
+    for s in bounded:
+        u = family_flow(alpha, beta, 2 * math.pi, a10 * s.x0)
+        assert u is not None
+        exact = float((u - a10 * s.x0) / a10)
+        assert abs(s.d - exact) <= 1e-9 * abs(exact)
+
+
+class TestClosedFormFamily:
+    """a2 = alpha g a1 and b2 = beta g give y' = g y (y - 1)(alpha y - beta)
+    in the chart y = a1 x: u(T, y0) solves H(u) = H(y0) + T mean(g), the
+    cycle is y* = beta/alpha, and d'(y*) = exp(alpha y* (y* - 1) T mean(g)) - 1.
+    T mean(g) = 2 pi here."""
+
+    def test_a1positive_displacement(self):
+        # a1 = 2 + cos t/2, alpha = 2, beta = 1: the fiber (0, 1/a1(0)) is
+        # y in (0, 1), where nothing escapes
+        report = family_report(2, Fraction(1, 2), 2, 1)
+        assert report.region == "A1Positive" and report.escaped_samples == 0
+        assert_d_is_the_closed_form(report.samples, 2, 1, a10=2.5)
+
+    def test_a1positive_cycle(self):
+        # y* = 1/2 is x* = 1/2 / a1(0) = 0.2, with d' = exp(-pi) - 1
+        report = family_report(2, Fraction(1, 2), 2, 1)
+        (cycle,) = report.cycles
+        assert cycle.stability == "Stable"
+        assert abs(cycle.x_star - 0.2) <= 1e-9
+        assert abs(cycle.dprime - (math.exp(-math.pi) - 1.0)) <= 1e-8
+
+    def test_a1negative_displacement(self):
+        # a1 = -2 - cos t, alpha = 1, beta = -1: the unstable cycle y* = -1;
+        # most samples escape, and the count is left to the escape rules
+        report = family_report(-2, Fraction(-1), 1, -1)
+        assert report.region == "A1Negative"
+        assert_d_is_the_closed_form(report.samples, 1, -1)
