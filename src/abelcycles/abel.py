@@ -7,9 +7,8 @@ invariant factors the field as
 
 with C3 = a1 a2, C2 = -(a1 b2 + a2), C1 = b2 - a1'/a1. This module holds the
 two equation models, the factorization with its exact invariance residual,
-region classification by the sign of a1, the bounded chart of the
-two-component region, and the scaled normal form
-x' = (a1x - b1)(a2x - b2)x + (b1' - a1'x)x/b1.
+region classification by the sign of a1, and the bounded chart of the
+two-component region.
 """
 
 from __future__ import annotations
@@ -200,37 +199,6 @@ def classify_region(f: FactoredAbel) -> RegionV:
     else:
         kind = RegionKind.A1_SIGN_CHANGING
     return RegionV(kind, _REGION_TEXT[kind])
-
-
-@dataclass(frozen=True)
-class NormalizedAbel:
-    """Scaled form x' = (a1n x - b1n)(a2n x - b2n) x + (b1n' - a1n' x) x / b1n
-    obtained from FactoredAbel by a nowhere-zero multiplier b1n."""
-
-    a1n: TrigPoly
-    b1n: TrigPoly
-    a2n: TrigRational
-    b2n: TrigRational
-
-
-def normalize(f: FactoredAbel, b1n: TrigPoly) -> NormalizedAbel:
-    """Rescale by a nowhere-vanishing b1n:
-
-        a1n = a1 b1n,  a2n = a2 / b1n,  b2n = (b2 - a1n'/a1n) / b1n.
-
-    This is the unique map making the scaled form expand to the same cubic
-    coefficients as the input equation (re-bracketing, not a change of
-    variables); see the coefficient identity test.
-    """
-    sign = definite_sign_report(b1n).sign
-    if sign not in (SignOnSet.STRICTLY_POSITIVE, SignOnSet.STRICTLY_NEGATIVE):
-        raise ValueError("the multiplier b1n must be nowhere zero on the period")
-    b1r = _as_trig_rational(b1n)
-    a1n = f.a1 * b1n
-    a2n = (f.a2 / b1r).reduced()
-    log_a1n = TrigRational(a1n.derivative(), a1n)
-    b2n = ((f.b2 - log_a1n) / b1r).reduced()
-    return NormalizedAbel(a1n, b1n, a2n, b2n)
 
 
 def negative_component_transform(f: FactoredAbel) -> FactoredAbel:

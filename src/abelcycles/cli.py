@@ -20,7 +20,6 @@ from .abel import (
     FactoredAbel,
     InvarianceError,
     factor_through_invariant,
-    normalize,
 )
 from .criteria import (
     CriterionVerdict,
@@ -53,7 +52,6 @@ from .planar import (
     rigid_to_abel,
 )
 from .serialize import ParsedInput, SchemaError, dumps, load_input
-from .trig import TrigPoly
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -182,7 +180,7 @@ def _factored_verdicts(
     if "definite_a2" in wanted:
         out.append(check_definite_a2(f))
     if "normalized_bound" in wanted:
-        out.append(check_normalized(normalize(f, TrigPoly.constant(1))))
+        out.append(check_normalized(f))
     return out
 
 

@@ -9,8 +9,9 @@ Checkers:
 * check_no_cycle / check_at_most_one: factored Abel equations with invariant
   curves x = 0 and a1 x = 1, parameterized by a rational multiplier eta;
 * check_definite_a2: one-signed a2 alone bounds the cycle count by one;
-* check_normalized: the normalized-form criterion, including an exact
-  decision of "some eta makes the combination sign definite";
+* check_normalized: the normalized-form criterion read on a1, a2 and b2,
+  including an exact decision of "some eta makes a1*b2 + eta*a2 sign
+  definite";
 * linear_parameter_feasible: whether some rational mu makes pa + mu*pb >= 0
   on R, always decided, for check_normalized and obstruction_report;
 * check_planar_no_cycle / check_planar_at_most_one: homogeneous planar
@@ -36,7 +37,6 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .abel import (
     FactoredAbel,
-    NormalizedAbel,
     RegionKind,
     classify_region,
     riccati_bound_applies,
@@ -817,28 +817,24 @@ def check_definite_a2(f: FactoredAbel) -> CriterionVerdict:
 # --- normalized-form criterion ----------------------------------------------
 
 
-def check_normalized(n: NormalizedAbel) -> CriterionVerdict:
+def check_normalized(f: FactoredAbel) -> CriterionVerdict:
     """Normalized-form bound: Holds (AtMostOne) when any of the following is
-    certified: (i) a1 never vanishes and some eta makes
-    a1*b2 + eta*a2*b1 + a1'/b1 sign definite; (ii) a2 keeps one sign;
-    (iii) a1*a2 and b1*b2 keep opposite (non-strict) signs.
+    certified: (i) a1 never vanishes and some eta makes a1*b2 + eta*a2 sign
+    definite; (ii) a2 keeps one sign; (iii) a1*a2 and b2 - a1'/a1 keep
+    opposite (non-strict) signs.
 
     Fails only when all three are certifiably false; the eta question is
     decided exactly (see linear_parameter_feasible).
     """
     cid = "normalized_bound"
-    if not (n.a2n.pole_free() and n.b2n.pole_free()):
+    # the normal form with multiplier b1 = 1 has b2n = b2 - a1'/a1, which is
+    # C1; the witness labels' "b1*b2" names it
+    b2n = f.c1
+    if not (f.a2.pole_free() and b2n.pole_free()):
         return CriterionVerdict(
             cid,
             Outcome.INAPPLICABLE,
             notes="a2 or b2 has poles in normalized form; the criterion needs pole-free data",
-        )
-    b1rep = definite_sign_report(n.b1n)
-    if not b1rep.sign.is_strict:
-        return CriterionVerdict(
-            cid,
-            Outcome.INAPPLICABLE,
-            notes="the normalizing multiplier b1 must keep a strict sign",
         )
 
     held: list[str] = []
@@ -846,16 +842,14 @@ def check_normalized(n: NormalizedAbel) -> CriterionVerdict:
     eta_val: Optional[Fraction] = None
     branch: Optional[Branch] = None
 
-    rep2 = definite_sign_report(n.a2n)
+    rep2 = definite_sign_report(f.a2)
     if rep2.sign.is_nonnegative or rep2.sign.is_nonpositive:
         held.append("(ii) a2 keeps one sign")
     else:
         witnesses.extend(_sign_change_witnesses("a2", rep2))
 
-    g1 = TrigRational.from_poly(n.a1n) * n.a2n
-    g2 = TrigRational.from_poly(n.b1n) * n.b2n
-    rep_g1 = definite_sign_report(g1)
-    rep_g2 = definite_sign_report(g2)
+    rep_g1 = definite_sign_report(f.c3)
+    rep_g2 = definite_sign_report(b2n)
     if (rep_g1.sign.is_nonnegative and rep_g2.sign.is_nonpositive) or (
         rep_g1.sign.is_nonpositive and rep_g2.sign.is_nonnegative
     ):
@@ -864,21 +858,19 @@ def check_normalized(n: NormalizedAbel) -> CriterionVerdict:
         witnesses.extend(_sign_change_witnesses("a1*a2", rep_g1))
         witnesses.extend(_sign_change_witnesses("b1*b2", rep_g2))
 
-    rep1 = definite_sign_report(n.a1n)
+    rep1 = definite_sign_report(f.a1)
     if not rep1.sign.is_strict:
         if rep1.sign is SignOnSet.MIXED:
             witnesses.extend(_sign_change_witnesses("a1", rep1))
-        zw = _zero_witness(n.a1n, "a1 = 0 inside this interval")
+        zw = _zero_witness(f.a1, "a1 = 0 inside this interval")
         if zw is not None:
             witnesses.append(zw)
     else:
-        base = TrigRational.from_poly(n.a1n) * n.b2n + TrigRational(
-            n.a1n.derivative(), n.b1n
-        )
-        mult = n.a2n * TrigRational.from_poly(n.b1n)
+        # a1*b2n + a1' is a1*b2
+        base = TrigRational.from_poly(f.a1) * f.b2
         refuted: list[Witness] = []
         for br, sign in ((Branch.POSITIVE, 1), (Branch.NEGATIVE, -1)):
-            out = definite_combination_feasible(base, mult, sign)
+            out = definite_combination_feasible(base, f.a2, sign)
             if out.status == "Feasible":
                 held.append(
                     "(i) a1 never vanishes and the eta-combination keeps one sign"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abel import AbelEquation, FactoredAbel, factor_through_invariant, normalize
+from .abel import FactoredAbel, factor_through_invariant
 from .criteria import (
     _condition_two,
     check_at_most_one,
@@ -236,7 +236,7 @@ def _reproduce_example1() -> ReproduceReport:
             f"outcome={v.outcome.value}",
         )
     )
-    nv = check_normalized(normalize(f, TrigPoly.constant(1)))
+    nv = check_normalized(f)
     lines.append(
         _line(
             "identity-scaled one-sign criterion fails",

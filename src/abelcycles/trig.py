@@ -355,10 +355,10 @@ class TrigRational:
             raise PoleError("denominator vanishes at the requested circle point")
         return self.num.eval_at(c, s) / d
 
-    def evaluate_float(self, theta: float, guard: float = 0.0) -> float:
+    def evaluate_float(self, theta: float) -> float:
         d = self.den.evaluate_float(theta)
-        if abs(d) <= guard:
-            raise PoleError(f"denominator {d} within pole guard at theta={theta}")
+        if d == 0.0:
+            raise PoleError(f"denominator vanishes at theta={theta}")
         return self.num.evaluate_float(theta) / d
 
     def half_angle_pair(self) -> tuple[RationalPoly, RationalPoly]:

@@ -4,7 +4,7 @@ The exact engine decides its criteria on trig rationals and Sturm chains with
 rescaled members. The tests check, on the nose, the identities behind those
 criteria: the cubic right-hand side as a polynomial in x, the cofactors of
 the invariant curves x = 0 and a1 x = 1, the stability quadratic with the
-constant tail of its Sturm chain, the inverse of the normalization map, and
+constant tail of its Sturm chain, the normalization map with its inverse, and
 the unscaled Sturm chain whose tail these closed forms are compared with.
 Exact values are taken at rational circle points. Witnesses are re-checked
 by the exact sign of each function's sign proxy at the witness sample, and
@@ -17,10 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from abelcycles.abel import AbelEquation, FactoredAbel, NormalizedAbel
+from abelcycles.abel import AbelEquation, FactoredAbel
 from abelcycles.criteria import Witness
-from abelcycles.poly import RationalPoly, as_fraction
-from abelcycles.trig import TrigLike, TrigPoly, TrigRational
+from abelcycles.poly import RationalPoly, SignOnSet, as_fraction
+from abelcycles.trig import (
+    TrigLike,
+    TrigPoly,
+    TrigRational,
+    definite_sign_report,
+)
 
 
 def circle_point(u: Fraction) -> tuple[Fraction, Fraction]:
@@ -144,6 +149,37 @@ def stability_sturm_tail(f: FactoredAbel, params: CombinationParams) -> TrigRati
     term3 = f.b2.scale(-(2 + al**2 + al * (4 + be)) / (2 * (3 + al + be)))
     term4 = f.log_deriv_a1().scale(-eta)
     return term1 + term2 + term3 + term4
+
+
+@dataclass(frozen=True)
+class NormalizedAbel:
+    """Scaled form x' = (a1n x - b1n)(a2n x - b2n) x + (b1n' - a1n' x) x / b1n
+    obtained from FactoredAbel by a nowhere-zero multiplier b1n."""
+
+    a1n: TrigPoly
+    b1n: TrigPoly
+    a2n: TrigRational
+    b2n: TrigRational
+
+
+def normalize(f: FactoredAbel, b1n: TrigPoly) -> NormalizedAbel:
+    """Rescale by a nowhere-vanishing b1n:
+
+        a1n = a1 b1n,  a2n = a2 / b1n,  b2n = (b2 - a1n'/a1n) / b1n.
+
+    This is the unique map making the scaled form expand to the same cubic
+    coefficients as the input equation (re-bracketing, not a change of
+    variables); see the coefficient identity test.
+    """
+    sign = definite_sign_report(b1n).sign
+    if sign not in (SignOnSet.STRICTLY_POSITIVE, SignOnSet.STRICTLY_NEGATIVE):
+        raise ValueError("the multiplier b1n must be nowhere zero on the period")
+    b1r = as_trig_rational(b1n)
+    a1n = f.a1 * b1n
+    a2n = (f.a2 / b1r).reduced()
+    log_a1n = TrigRational(a1n.derivative(), a1n)
+    b2n = ((f.b2 - log_a1n) / b1r).reduced()
+    return NormalizedAbel(a1n, b1n, a2n, b2n)
 
 
 def denormalize(n: NormalizedAbel) -> AbelEquation:

@@ -1,5 +1,5 @@
 """Tests for the Abel equation models: factorization through the invariant
-curve, regions, and the scaled normal form, plus the identities on the
+curve and regions, plus the identities on the scaled normal form, the
 cofactors, the stability quadratic and its Sturm tail (built in
 identities.py)."""
 
@@ -12,23 +12,31 @@ from abelcycles.abel import (
     AbelEquation,
     FactoredAbel,
     InvarianceError,
-    NormalizedAbel,
     RegionKind,
     classify_region,
     factor_through_invariant,
     negative_component_transform,
-    normalize,
     riccati_bound_applies,
 )
 from abelcycles.poly import RationalPoly
 from abelcycles.trig import Period, TrigPoly, TrigRational
-from data import EX1_A1, EX1_A2, EX1_B2, EX1_C1, EX1_C2, EX1_C3, EX1_COMBINATION
+from data import (
+    EX1_A1,
+    EX1_A2,
+    EX1_B2,
+    EX1_C1,
+    EX1_C2,
+    EX1_C3,
+    EX1_COMBINATION,
+    random_instance,
+)
 from identities import (
     CombinationParams,
     XPoly,
     circle_point,
     cofactors,
     denormalize,
+    normalize,
     rhs,
     stability_quadratic,
     stability_sturm_tail,
@@ -255,6 +263,19 @@ class TestNormalize:
         # with eta = -1 the combination collapses to the constant 6, so the
         # identity normalization keeps b2n pole-free here
         assert n.b2n.equals(TrigRational.constant(EX1_COMBINATION))
+        # the criterion reads the factored equation directly: with b1n = 1
+        # the normal form is a1n = a1, a2n = a2 and b2n = C1
+        rng = random.Random(45)
+        cos_a1 = FactoredAbel.from_parts(TrigPoly.coswave(), TrigPoly.sinwave(), 1)
+        for f in [random_instance(rng) for _ in range(40)] + [cos_a1]:
+            n = normalize(f, TrigPoly.constant(1))
+            a1n = TrigRational.from_poly(n.a1n)
+            scaled = a1n * n.b2n + TrigRational(n.a1n.derivative(), n.b1n)
+            assert scaled.equals(TrigRational.from_poly(f.a1) * f.b2)
+            assert n.b2n.equals(f.c1)
+            assert n.a2n.equals(f.a2)
+            assert n.b2n.pole_free() == f.c1.pole_free()
+            assert n.a2n.pole_free() == f.a2.pole_free()
 
     def test_scaled_form_expands_to_the_same_cubic(self):
         # the scaled form (a1n x - b1n)(a2n x - b2n) x + (b1n' - a1n' x) x/b1n

@@ -7,11 +7,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from abelcycles.abel import (
-    FactoredAbel,
-    factor_through_invariant,
-    normalize,
-)
+from abelcycles.abel import FactoredAbel, factor_through_invariant
 from abelcycles.criteria import (
     Bound,
     Outcome,
@@ -126,7 +122,7 @@ def test_criterion_1_gallery1_exact_pipeline():
 
         v = check_at_most_one(f, EX1_ETA)
         assert v.outcome is Outcome.HOLDS and v.bound is Bound.AT_MOST_ONE
-        nv = check_normalized(normalize(f, TrigPoly.constant(1)))
+        nv = check_normalized(f)
         assert nv.outcome is Outcome.FAILS
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from abelcycles.abel import FactoredAbel, NormalizedAbel, normalize
+from abelcycles.abel import FactoredAbel
 from abelcycles.criteria import (
     _root_product,
     Bound,
@@ -246,14 +246,16 @@ class TestFactoredCriteria:
 
 
 class TestNormalizedCriterion:
+    # each input is the normal form at b1 = 1 read back as a factored
+    # equation: a1 = a1n, a2 = a2n and b2 = b2n + a1'/a1
+
     def test_gallery_identity_scaling_fails(self):
-        n = normalize(EX1_FACTORED, TrigPoly.constant(1))
-        v = check_normalized(n)
+        v = check_normalized(EX1_FACTORED)
         assert v.outcome is Outcome.FAILS
         conditions = " | ".join(w.condition for w in v.witnesses)
         assert "a2" in conditions and "a1*a2" in conditions
         # the verdict is driven by sign changes: a2 and a1*a2 attain both signs
-        a1a2 = TrigRational.from_poly(n.a1n) * n.a2n
+        a1a2 = TrigRational.from_poly(EX1_FACTORED.a1) * EX1_FACTORED.a2
         seen = {
             (w.condition, witness_sign(a1a2, w))
             for w in v.witnesses
@@ -262,71 +264,51 @@ class TestNormalizedCriterion:
         assert {s for _, s in seen} == {1, -1}
 
     def test_constant_a2_holds(self):
-        n = NormalizedAbel(
+        f = FactoredAbel.from_parts(
             TrigPoly.coswave(),
-            TrigPoly.constant(1),
-            TrigRational.constant(1),
-            TrigRational.zero(),
+            1,
+            TrigRational(-TrigPoly.sinwave(), TrigPoly.coswave()),
         )
-        v = check_normalized(n)
+        v = check_normalized(f)
         assert v.outcome is Outcome.HOLDS
         assert v.bound is Bound.AT_MOST_ONE
         assert "(ii)" in v.notes
 
     def test_eta_combination_route(self):
-        n = NormalizedAbel(
-            TrigPoly.constant(1),
-            TrigPoly.constant(1),
-            TrigRational.from_poly(TrigPoly.coswave()),
-            TrigRational.constant(-1),
-        )
-        v = check_normalized(n)
+        f = FactoredAbel.from_parts(TrigPoly.constant(1), TrigPoly.coswave(), -1)
+        v = check_normalized(f)
         assert v.outcome is Outcome.HOLDS
         assert "(i)" in v.notes
         assert v.eta == 0
         assert v.branch is Branch.NEGATIVE
 
     def test_opposite_products_route(self):
-        n = NormalizedAbel(
+        f = FactoredAbel.from_parts(
             TrigPoly.sinwave(),
-            TrigPoly.constant(1),
-            TrigRational.from_poly(TrigPoly.sinwave()),
-            TrigRational.constant(-1),
+            TrigPoly.sinwave(),
+            TrigRational(TrigPoly.coswave() - TrigPoly.sinwave(), TrigPoly.sinwave()),
         )
-        v = check_normalized(n)
+        v = check_normalized(f)
         assert v.outcome is Outcome.HOLDS
         assert "(iii)" in v.notes
 
     def test_pole_gate(self):
-        n = NormalizedAbel(
-            TrigPoly.constant(1),
+        f = FactoredAbel.from_parts(
             TrigPoly.constant(1),
             TrigRational(TrigPoly.constant(1), TrigPoly.coswave()),
-            TrigRational.zero(),
+            0,
         )
-        v = check_normalized(n)
+        v = check_normalized(f)
         assert v.outcome is Outcome.INAPPLICABLE
         assert "pole" in v.notes
 
-    def test_vanishing_b1_gate(self):
-        n = NormalizedAbel(
-            TrigPoly.constant(1),
-            TrigPoly.coswave(),
-            TrigRational.constant(1),
-            TrigRational.zero(),
-        )
-        v = check_normalized(n)
-        assert v.outcome is Outcome.INAPPLICABLE
-        assert "b1" in v.notes
-
     def test_certified_failure_of_all_three(self):
-        n = NormalizedAbel(
+        f = FactoredAbel.from_parts(
             TrigPoly.constant(1),
-            TrigPoly.constant(1),
-            TrigRational.from_poly(TrigPoly.from_terms([(1, 1, 1)])),
-            TrigRational.from_poly(TrigPoly.sinwave()),
+            TrigPoly.from_terms([(1, 1, 1)]),
+            TrigPoly.sinwave(),
         )
-        v = check_normalized(n)
+        v = check_normalized(f)
         assert v.outcome is Outcome.FAILS
         assert v.witnesses
 

@@ -252,6 +252,10 @@ class TestTrigRational:
         with pytest.raises(PoleError):
             B2.eval_at(F(1), F(0))
 
+    def test_float_evaluation_at_a_pole_raises(self):
+        with pytest.raises(PoleError):
+            TrigRational(TrigPoly.constant(1), TrigPoly.sinwave()).evaluate_float(0.0)
+
     def test_pole_at_theta_pi_is_detected(self):
         # denominator 1 + cos t vanishes only at t = pi, which the half-angle
         # chart itself does not see
