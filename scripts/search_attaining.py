@@ -17,6 +17,7 @@ from itertools import product
 from abelcycles.abel import FactoredAbel
 from abelcycles.criteria import Outcome, check_at_most_one, check_no_cycle
 from abelcycles.oracle import IntegratorConfig, count_cycles_in_V
+from abelcycles.poly import exact_cache
 from abelcycles.trig import TrigPoly, TrigRational
 
 
@@ -48,22 +49,25 @@ def main(argv=None) -> int:
         if a2 == 0:
             continue
         f = constant_instance(a1, a2, b2)
-        for name, checker in (("no_cycle", check_no_cycle),
-                              ("at_most_one", check_at_most_one)):
-            v = checker(f, Fraction(0))
-            if v.outcome is not Outcome.HOLDS:
-                continue
-            rep = count_cycles_in_V(f, cfg, grid_density=args.grid)
-            mark = "  <-- bound attained" if (
-                name == "at_most_one" and rep.count == 1
-            ) else ""
-            print(f"{str(a1):>5} {str(a2):>5} {str(b2):>5}  {name:<15} "
-                  f"{v.bound.value:<12} {rep.count}{mark}")
-            if rep.count > (0 if name == "no_cycle" else 1):
-                print("BOUND VIOLATED - this should never happen")
-                return 1
-            if mark:
-                attained.append((a1, a2, b2))
+        # one run scope per input: its two checks share exact work, and the
+        # memory it holds is freed before the next input
+        with exact_cache():
+            for name, checker in (("no_cycle", check_no_cycle),
+                                  ("at_most_one", check_at_most_one)):
+                v = checker(f, Fraction(0))
+                if v.outcome is not Outcome.HOLDS:
+                    continue
+                rep = count_cycles_in_V(f, cfg, grid_density=args.grid)
+                mark = "  <-- bound attained" if (
+                    name == "at_most_one" and rep.count == 1
+                ) else ""
+                print(f"{str(a1):>5} {str(a2):>5} {str(b2):>5}  {name:<15} "
+                      f"{v.bound.value:<12} {rep.count}{mark}")
+                if rep.count > (0 if name == "no_cycle" else 1):
+                    print("BOUND VIOLATED - this should never happen")
+                    return 1
+                if mark:
+                    attained.append((a1, a2, b2))
     print(f"\n{len(attained)} attaining instance(s)")
     for a1, a2, b2 in attained:
         print(f"  a1={a1}, a2={a2}, b2={b2}: the cycle sits at x = b2/a2 "

@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .abel import (
     AbelEquation,
@@ -35,13 +35,7 @@ from .criteria import (
     obstruction_report,
 )
 from .gallery import reproduce
-from .oracle import (
-    DEFAULT_GRID,
-    DisplacementSample,
-    IntegratorConfig,
-    count_cycles_in_V,
-    write_displacement_csv,
-)
+from .oracle_config import DEFAULT_GRID, IntegratorConfig
 from .planar import (
     HomogeneousSystem,
     PlanarPolySystem,
@@ -51,7 +45,12 @@ from .planar import (
     detect_rigid,
     rigid_to_abel,
 )
+from .poly import exact_cache
 from .serialize import ParsedInput, SchemaError, dumps, load_input
+
+# the oracle, and numpy with it, is imported only by the calls that sweep
+if TYPE_CHECKING:
+    from .oracle import DisplacementSample
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -96,6 +95,8 @@ def _emit(text: str, code: int, out: Optional[str], saved: Optional[str] = None,
             with open(out, "w") as handle:
                 handle.write(text if saved is None else saved)
             if samples is not None:
+                from .oracle import write_displacement_csv
+
                 write_displacement_csv(samples, out.removesuffix(".json") + ".csv")
         except OSError as exc:
             return _fail(str(exc))
@@ -231,6 +232,8 @@ def cmd_transform(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
+    from .oracle import count_cycles_in_V
+
     if cfg.input is None:
         return _fail("--input is required")
     try:
@@ -323,18 +326,20 @@ _PARSER = _build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
-    if args.command == "reproduce":
-        return cmd_reproduce(args.example, args.out)
-    try:
-        cfg = _config_from_args(args)
-    except UsageError as exc:
-        return _fail(str(exc))
-    if args.command == "check":
-        return cmd_check(cfg)
-    if args.command == "transform":
-        return cmd_transform(cfg)
-    return cmd_oracle(cfg)
+    # one run scope per call, so no call reuses another's exact work
+    with exact_cache():
+        args = _PARSER.parse_args(argv)
+        if args.command == "reproduce":
+            return cmd_reproduce(args.example, args.out)
+        try:
+            cfg = _config_from_args(args)
+        except UsageError as exc:
+            return _fail(str(exc))
+        if args.command == "check":
+            return cmd_check(cfg)
+        if args.command == "transform":
+            return cmd_transform(cfg)
+        return cmd_oracle(cfg)
 
 
 if __name__ == "__main__":

@@ -530,9 +530,10 @@ def definite_combination_feasible(
     on the whole circle. Both functions must be pole-free; the decision runs
     on common-denominator half-angle numerators plus the point theta = pi.
     parameter_planes are extra constraints va + mu*vb >= 0 on mu alone."""
-    rl, rm = _as_rational(base), _as_rational(multiplier)
-    if not rl.pole_free() or not rm.pole_free():
+    # a trig polynomial has no pole, and its wrapper has the reduced pair and value at pi
+    if not all(f.pole_free() for f in (base, multiplier) if isinstance(f, TrigRational)):
         raise ValueError("the combination test needs pole-free inputs")
+    rl, rm = _reduced_rational(base), _reduced_rational(multiplier)
     pl, ql = rl.half_angle_pair()
     pm, qm = rm.half_angle_pair()
     g = ql.gcd(qm)
@@ -545,8 +546,8 @@ def definite_combination_feasible(
     at_pi = (Fraction(-1), Fraction(0))
     planes = [
         (
-            sign * rl.reduced().eval_at(*at_pi),
-            sign * rm.reduced().eval_at(*at_pi),
+            sign * rl.eval_at(*at_pi),
+            sign * rm.eval_at(*at_pi),
             Witness("the combination at theta = pi", "point", circle=at_pi),
         )
     ]
@@ -554,8 +555,8 @@ def definite_combination_feasible(
     return linear_parameter_feasible(na, nb, planes)
 
 
-def _as_rational(f: TrigLike) -> TrigRational:
-    return f if isinstance(f, TrigRational) else TrigRational.from_poly(f)
+def _reduced_rational(f: TrigLike) -> TrigRational:
+    return f.reduced() if isinstance(f, TrigRational) else TrigRational.from_poly(f)
 
 
 # --- factored-equation criteria ---------------------------------------------

@@ -42,6 +42,7 @@ from .abel import (
     classify_region,
     negative_component_transform,
 )
+from .oracle_config import DEFAULT_GRID, IntegratorConfig
 from .trig import TrigRational
 
 Equation = Union[AbelEquation, FactoredAbel]
@@ -49,7 +50,6 @@ Equation = Union[AbelEquation, FactoredAbel]
 UNBOUNDED_FIBER_CUTOFF = 1.0e3  # heuristic: no a priori amplitude bound
 NONHYPERBOLIC_MARGIN = 1.0e-6
 BISECTION_WIDTH = 1.0e-10
-DEFAULT_GRID = 400  # grid points per fiber component
 
 # integrator limits: the largest step as a fraction of the span, the margin
 # within which a coefficient denominator counts as a pole, the window
@@ -69,19 +69,6 @@ _ENDS_COS = np.cos(np.arange(_ARCS + 1) * _ARC)
 _ENDS_SIN = np.sin(np.arange(_ARCS + 1) * _ARC)
 _SAFETY = 1.0 + 1.0e-9
 BLOWUP_REASON = "blows up before t1 (comparison bound)"
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rtol: float = 1.0e-10
-    atol: float = 1.0e-12
-
-    def __post_init__(self):
-        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
-            raise ValueError(
-                f"tolerances must be positive and finite, got rtol={self.rtol!r}, "
-                f"atol={self.atol!r}"
-            )
 
 
 @dataclass(frozen=True)

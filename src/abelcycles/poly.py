@@ -12,6 +12,8 @@ chains and gcds are built from integer pseudo-remainders.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -99,6 +101,30 @@ ExtendedPoint = Union[Fraction, _Infinity]
 
 # largest total degree of a term in a parsed input, bivariate or trig
 MAX_DEGREE = 16
+
+
+_RUN_CACHE: ContextVar[Optional[dict]] = ContextVar("exact_cache", default=None)
+
+
+@contextmanager
+def exact_cache():
+    """A run scope: equal values share their isolations, reductions and sign reports."""
+    token = _RUN_CACHE.set({})
+    try:
+        yield
+    finally:
+        _RUN_CACHE.reset(token)
+
+
+def _memo(key, make):
+    """make(), computed once per key within the active run scope."""
+    cache = _RUN_CACHE.get()
+    if cache is None:
+        return make()
+    value = cache.get(key)  # no memoized value is None
+    if value is None:
+        value = cache[key] = make()
+    return value
 
 
 def as_fraction(x) -> Fraction:
@@ -446,6 +472,11 @@ def _nonroot_split(q: RationalPoly, lo: Fraction, hi: Fraction) -> Fraction:
 
 def isolate_real_roots(p: RationalPoly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals, each containing exactly one distinct real root."""
+    # the scope keeps a tuple, so a caller's list is its own
+    return list(_memo(p, lambda: tuple(_isolate_real_roots(p))))
+
+
+def _isolate_real_roots(p: RationalPoly) -> list[tuple[Fraction, Fraction]]:
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
     q = p.squarefree_part()

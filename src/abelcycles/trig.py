@@ -17,7 +17,7 @@ rational function is read through its sign proxy, a TrigPoly with its sign
 (`TrigRational.sign_proxy`). A CircleChart picks the chart for the proxies
 of several functions at once and carries the circle points it misses
 exactly; each TrigPoly builds its two chart polynomials and its sign report
-once, on first use, and keeps them.
+once, on first use, and keeps them (shared by equal values in a run scope).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .poly import (
     CellDecomposition,
     RationalPoly,
     SignOnSet,
+    _memo,
     as_fraction,
     count_distinct_roots,
     frac_str,
@@ -255,7 +256,7 @@ class TrigPoly:
 
     @cached_property
     def _sign_report(self) -> "SignReport":
-        return _classify_signs(self)
+        return _memo(self, lambda: _classify_signs(self))
 
     def to_json(self) -> list[dict]:
         return [
@@ -396,6 +397,9 @@ class TrigRational:
 
     @cached_property
     def _reduced(self) -> "TrigRational":
+        return _memo((self.num, self.den), self._reduce)
+
+    def _reduce(self) -> "TrigRational":
         if self.num.is_zero:
             r = TrigRational.zero()
         else:

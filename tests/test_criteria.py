@@ -47,6 +47,7 @@ from data import (
     EX2_N,
     EX2_P3_TERMS,
     EX2_Q3_TERMS,
+    random_instance,
 )
 from identities import chart_sign, sylvester_resultant, witness_sign
 
@@ -654,6 +655,25 @@ class TestFeasibilityEngine:
         mult = TrigRational.from_poly(TrigPoly.from_terms([(1, 1, 1)]))
         out = definite_combination_feasible(base, mult, 1)
         assert out.status == "Infeasible"
+
+    def test_a_polynomial_is_read_as_a_pole_free_rational(self):
+        # the combination test skips the pole check on a TrigPoly, and reads
+        # the same half-angle pair and value at pi as the rational route
+        one_plus = RationalPoly.from_coeffs([1, 0, 1])
+        at_pi = (F(-1), F(0))
+        for seed in range(40):
+            f = random_instance(random.Random(seed))
+            p, q = f.a1 * f.a2.num, f.a1 * f.b2.num
+            r = TrigRational.from_poly(p)
+            assert r.pole_free()
+            n, k = p.half_angle_chart()
+            pp, qq = r.half_angle_pair()
+            assert qq == one_plus ** (qq.degree // 2)
+            assert pp * one_plus ** k == n * qq
+            assert r.reduced().eval_at(*at_pi) == p.eval_at(*at_pi)
+            assert definite_combination_feasible(p, q, -1) == definite_combination_feasible(
+                r, TrigRational.from_poly(q), -1
+            )
 
 
 class TestVerdictModel:

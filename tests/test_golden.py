@@ -47,6 +47,7 @@ from pathlib import Path
 
 import pytest
 
+from abelcycles import poly
 from abelcycles.cli import main
 from abelcycles.oracle import CubicField
 
@@ -74,6 +75,16 @@ ORACLE_FIELD_CALLS = {
 def test_check_output_is_byte_identical(name, capsys):
     main(["check", "--input", str(GOLDEN / f"{name}.json")])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_a_second_check_in_one_process_reuses_nothing(capsys):
+    # the benchmark runs its ops through main in one process: each call must
+    # print the pinned output and leave no run scope behind for the next
+    for _ in range(2):
+        for name in NAMES:
+            main(["check", "--input", str(GOLDEN / f"{name}.json")])
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+            assert poly._RUN_CACHE.get() is None
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -290,6 +290,17 @@ def test_cli_imports_no_reference_library():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_starts_without_numpy():
+    # check, transform and reproduce run no oracle, so the command line
+    # imports numpy only when it sweeps
+    code = "import sys, abelcycles.cli; print('numpy' in sys.modules)"
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestDisplacementMap:
     def test_example1_growth_rate_at_origin(self):
         s = displacement_map(EX1, [0.0], CFG)[0]

@@ -9,15 +9,28 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelcycles.criteria import eta_candidates
+from abelcycles import cli, poly
+from abelcycles.criteria import (
+    check_at_most_one,
+    check_definite_a2,
+    check_no_cycle,
+    eta_candidates,
+)
 from abelcycles.gallery import example1_factored, example2_system
 from abelcycles.planar import cherkas_transform
-from abelcycles.poly import RationalPoly, SignOnSet, count_distinct_roots
+from abelcycles.poly import (
+    RationalPoly,
+    SignOnSet,
+    count_distinct_roots,
+    exact_cache,
+    isolate_real_roots,
+)
 from abelcycles.trig import (
     NonHomogeneousError,
     Period,
@@ -30,6 +43,7 @@ from abelcycles.trig import (
     has_odd_order_pole,
     vanishing_order_at_pi,
 )
+from data import random_instance
 from identities import chart_sign, circle_point
 from oracles import (
     half_angle_chart_reference,
@@ -516,6 +530,76 @@ class TestNoReferenceCycles:
             return f
 
         assert self.freed_without_gc(make, lambda f: f.sign_proxy())
+
+
+class TestRunScope:
+    """Inside `exact_cache()` equal values share one reduction, sign report
+    and isolation; outside it, and after it ends, nothing is shared."""
+
+    fresh_rational = staticmethod(TestNoReferenceCycles.fresh_rational)
+
+    def test_equal_values_share_work_only_inside_a_scope(self):
+        a, b = self.fresh_rational(), self.fresh_rational()
+        assert a == b and a is not b
+        assert a.reduced() is not b.reduced()
+        assert definite_sign_report(a) is not definite_sign_report(b)
+        with exact_cache():
+            a, b = self.fresh_rational(), self.fresh_rational()
+            assert a.reduced() is b.reduced()
+            assert definite_sign_report(a) is definite_sign_report(b)
+            p, q = TrigPoly.coswave(3), TrigPoly.coswave(3)
+            assert definite_sign_report(p) is definite_sign_report(q)
+
+    def test_no_scope_is_left_active(self, monkeypatch, capsys):
+        seen = []
+        resolve = cli._resolve_factored
+
+        def spy(parsed):
+            cache = poly._RUN_CACHE.get()
+            seen.append((cache, dict(cache)))
+            return resolve(parsed)
+
+        monkeypatch.setattr(cli, "_resolve_factored", spy)
+        path = Path(__file__).parent / "golden" / "cubic.json"
+        for _ in range(2):
+            assert cli.main(["check", "--input", str(path)]) == 0
+            assert poly._RUN_CACHE.get() is None
+        assert capsys.readouterr().err == ""
+        # each call opens its own scope, and starts it with nothing from the last
+        (first, at_first), (second, at_second) = seen
+        assert first is not second and len(first) == len(second) > 0
+        assert at_first == at_second
+        with pytest.raises(RuntimeError):
+            with exact_cache():
+                self.fresh_rational().reduced()
+                raise RuntimeError("inside the scope")
+        assert poly._RUN_CACHE.get() is None
+
+    def test_a_returned_isolation_is_the_callers_own(self):
+        p = RationalPoly.from_coeffs([-2, 0, 1])
+        with exact_cache():
+            first = isolate_real_roots(p)
+            expected = list(first)
+            first.append((Fraction(5), Fraction(6)))
+            first[0] = (Fraction(-9), Fraction(9))
+            assert isolate_real_roots(p) == expected
+            assert len(expected) == 2
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=15, deadline=None)
+    def test_verdicts_are_the_same_inside_a_scope(self, seed):
+        def verdicts():
+            f = random_instance(random.Random(seed))
+            out = [check_definite_a2(f).to_json()]
+            for eta in eta_candidates(f):
+                out += [check_no_cycle(f, eta).to_json(),
+                        check_at_most_one(f, eta).to_json()]
+            return out
+
+        outside = verdicts()
+        with exact_cache():
+            assert verdicts() == outside
+            assert verdicts() == outside
 
 
 class TestSignClassification:
