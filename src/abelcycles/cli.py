@@ -35,7 +35,7 @@ from .criteria import (
     obstruction_report,
 )
 from .gallery import reproduce
-from .oracle_config import DEFAULT_GRID, IntegratorConfig
+from .oracle_config import DEFAULT_GRID, MAX_GRID, IntegratorConfig
 from .planar import (
     HomogeneousSystem,
     PlanarPolySystem,
@@ -267,7 +267,7 @@ _OPTIONS = {
     "--criteria": dict(help="comma-separated criterion ids"),
     "--eta": dict(help="multiplier as an exact rational, e.g. -1 or 3/2"),
     "--grid": dict(type=int, default=RunConfig.grid,
-                   help="grid points per component, at least 1"),
+                   help=f"grid points per component, 1 to {MAX_GRID}"),
     "--rtol": dict(type=float, default=RunConfig.rtol,
                    help="relative tolerance, positive and finite"),
     "--atol": dict(type=float, default=RunConfig.atol,
@@ -315,8 +315,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             opts["eta"] = Fraction(opts["eta"])
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --eta value {opts['eta']!r}: {exc}") from exc
-    if opts.get("grid", 1) < 1:
-        raise UsageError(f"--grid must be at least 1, got {opts['grid']}")
+    if not 1 <= opts.get("grid", 1) <= MAX_GRID:
+        raise UsageError(f"--grid must be between 1 and {MAX_GRID}, got {opts['grid']}")
     return RunConfig(**opts)
 
 

@@ -62,10 +62,11 @@ from .trig import (
     TrigLike,
     TrigPoly,
     TrigRational,
+    _half_turn,
+    _value_at_pi,
     cancel_pole_combination,
     definite_sign_report,
     has_odd_order_pole,
-    rotate_half,
 )
 
 
@@ -530,12 +531,13 @@ def definite_combination_feasible(
     on the whole circle. Both functions must be pole-free; the decision runs
     on common-denominator half-angle numerators plus the point theta = pi.
     parameter_planes are extra constraints va + mu*vb >= 0 on mu alone."""
-    # a trig polynomial has no pole, and its wrapper has the reduced pair and value at pi
+    # a trig polynomial has no pole, and its wrapper has the pair
     if not all(f.pole_free() for f in (base, multiplier) if isinstance(f, TrigRational)):
         raise ValueError("the combination test needs pole-free inputs")
-    rl, rm = _reduced_rational(base), _reduced_rational(multiplier)
-    pl, ql = rl.half_angle_pair()
-    pm, qm = rm.half_angle_pair()
+    (pl, ql), (pm, qm) = (
+        (f if isinstance(f, TrigRational) else TrigRational.from_poly(f)).half_angle_pair()
+        for f in (base, multiplier)
+    )
     g = ql.gcd(qm)
     ql_red = ql.exact_div(g) if g.degree > 0 else ql
     qm_red = qm.exact_div(g) if g.degree > 0 else qm
@@ -546,17 +548,13 @@ def definite_combination_feasible(
     at_pi = (Fraction(-1), Fraction(0))
     planes = [
         (
-            sign * rl.eval_at(*at_pi),
-            sign * rm.eval_at(*at_pi),
+            sign * _value_at_pi(pl, ql),
+            sign * _value_at_pi(pm, qm),
             Witness("the combination at theta = pi", "point", circle=at_pi),
         )
     ]
     planes.extend((va, vb, None) for va, vb in parameter_planes)
     return linear_parameter_feasible(na, nb, planes)
-
-
-def _reduced_rational(f: TrigLike) -> TrigRational:
-    return f.reduced() if isinstance(f, TrigRational) else TrigRational.from_poly(f)
 
 
 # --- factored-equation criteria ---------------------------------------------
@@ -1146,12 +1144,8 @@ def eta_candidates(f: FactoredAbel) -> list[Fraction]:
     half-angle chart and on its half-period rotation, so the point theta = pi
     is covered)."""
     found = {Fraction(-1), Fraction(0), Fraction(1)}
-    log_deriv = TrigRational(f.a1.derivative(), f.a1)
-    for rotated in (False, True):
-        b2, ld = f.b2, log_deriv
-        if rotated:
-            b2 = TrigRational(rotate_half(b2.num), rotate_half(b2.den))
-            ld = TrigRational(rotate_half(ld.num), rotate_half(ld.den))
+    pairs = (f.b2.half_angle_pair(), f.log_deriv_a1().half_angle_pair())
+    for b2, ld in (pairs, tuple(_half_turn(*pair) for pair in pairs)):
         eta = _pole_matching_eta(b2, ld)
         if eta is not None and eta not in found:
             if not has_odd_order_pole(cancel_pole_combination(f.b2, f.a1, eta)):
@@ -1181,12 +1175,15 @@ def best_over_etas(
     return fallback
 
 
-def _pole_matching_eta(b2: TrigRational, log_deriv: TrigRational) -> Optional[Fraction]:
+def _pole_matching_eta(
+    b2: tuple[RationalPoly, RationalPoly], log_deriv: tuple[RationalPoly, RationalPoly]
+) -> Optional[Fraction]:
     """The unique eta with numerator(b2) + eta*numerator(log-derivative)
     divisible by the odd-multiplicity part of the common chart denominator,
-    when such an eta exists."""
-    nb, db = b2.half_angle_pair()
-    na, da = log_deriv.half_angle_pair()
+    when such an eta exists. Each argument is a coprime half-angle pair; the
+    eta does not change when a pair is scaled by a constant."""
+    nb, db = b2
+    na, da = log_deriv
     g = db.gcd(da)
     da_red = da.exact_div(g) if g.degree > 0 else da
     db_red = db.exact_div(g) if g.degree > 0 else db

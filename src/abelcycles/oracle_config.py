@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_GRID = 400  # grid points per fiber component
+MAX_GRID = 100_000  # the sweep holds its grid in memory before it starts
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,8 @@ def load_input(path: str) -> ParsedInput:
     with open(path) as handle:
         try:
             data = json.load(handle)
-        except ValueError as exc:
+        # nesting deeper than the decoder can follow raises RecursionError
+        except (ValueError, RecursionError) as exc:
             raise _malformed("not valid JSON", exc) from exc
     return parse_input(data)
 

@@ -433,12 +433,10 @@ class TrigRational:
         return Period.TWO_PI
 
     def pole_free(self) -> bool:
-        """True when the reduced denominator never vanishes on the circle:
-        Q has no real root, and the reduced form is finite at t = pi."""
-        q = _pole_part(self)
-        if q.degree > 0 and count_distinct_roots(q) > 0:
-            return False
-        return self.reduced().den.eval_at(Fraction(-1), Fraction(0)) != 0
+        """True when self has no pole on the circle: none at t = pi, where
+        deg P <= deg Q (see _value_at_pi), and Q has no real root."""
+        p, q = self._pair
+        return p.degree <= q.degree and count_distinct_roots(q) == 0
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -463,17 +461,24 @@ def _proxy(f: TrigLike) -> TrigPoly:
     return f.sign_proxy() if isinstance(f, TrigRational) else f
 
 
-def _pole_part(f: TrigRational) -> RationalPoly:
-    """Q of the half-angle pair without its factors 1 + u^2, which have no
-    real root; the real roots left are the poles of f off t = pi."""
-    _, q = f.half_angle_pair()
-    one_plus = RationalPoly.from_coeffs([1, 0, 1])
-    while q.degree > 1:
-        quo, rem = q.divmod(one_plus)
-        if not rem.is_zero:
-            break
-        q = quo
-    return q
+def _value_at_pi(p: RationalPoly, q: RationalPoly) -> Fraction:
+    """P/Q at t = pi, for a pair with deg P <= deg Q. Near t = pi the chart
+    reads u ~ 2 / (pi - t), so P/Q has a pole of order deg P - deg Q there."""
+    return p.leading / q.leading if p.degree == q.degree else Fraction(0)
+
+
+def _half_turn(p: RationalPoly, q: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
+    """A pair of f(t + pi) from one (P, Q) of f: t -> t + pi is u -> -1/u, so
+    it is (u^n P(-1/u), u^n Q(-1/u)) with n = max(deg P, deg Q)."""
+    n = max(p.degree, q.degree)
+
+    def turn(r: RationalPoly) -> RationalPoly:
+        out = [0] * (n + 1)
+        for m, v in enumerate(r.ints):
+            out[n - m] = -v if m % 2 else v
+        return RationalPoly.from_ints(out, r.content.denominator, r.content.numerator)
+
+    return turn(p), turn(q)
 
 
 def _sgn(x) -> int:
@@ -604,46 +609,17 @@ def _classify_signs(f: TrigPoly) -> SignReport:
     return SignReport(join_sign_sets(*signs), pos_at, neg_at)
 
 
-def rotate_half(f: TrigPoly) -> TrigPoly:
-    """f(theta + pi): each cos^i sin^j term picks up (-1)^(i+j)."""
-    return TrigPoly(
-        tuple(((i, j), c * (-1) ** (i + j)) for (i, j), c in f.terms)
-    )
-
-
-def vanishing_order_at_pi(f: TrigPoly) -> int:
-    """Order of the zero of f at theta = pi (0 when f(pi) != 0).
-
-    theta = pi maps to u = 0 after rotating by half a period, where
-    u = tan(theta/2) is an analytic chart, so the order equals the
-    valuation of the rotated half-angle numerator.
-    """
-    if f.is_zero:
-        raise ValueError("the zero function has no finite vanishing order")
-    n, _ = rotate_half(f).half_angle_chart()
-    order = 0
-    while n.ints[order] == 0:
-        order += 1
-    return order
-
-
 def has_odd_order_pole(f: TrigRational) -> bool:
-    """True when the reduced form has a pole of odd order somewhere on the
-    circle; such a pole forces a sign change, so no definite-sign analysis
-    can absorb it."""
-    q = _pole_part(f)
-    if q.degree > 0:
-        for factor, mult in q.squarefree_decomposition():
-            if mult % 2 == 1 and factor.degree > 0 and count_distinct_roots(factor) > 0:
-                return True
-    # the half-angle chart misses theta = pi
-    r = f.reduced()
-    if r.den.eval_at(Fraction(-1), Fraction(0)) == 0:
-        vd = vanishing_order_at_pi(r.den)
-        vn = vanishing_order_at_pi(r.num) if not r.num.is_zero else vd
-        if vd > vn and (vd - vn) % 2 == 1:
-            return True
-    return False
+    """True when f has a pole of odd order somewhere on the circle, at t = pi
+    (see _value_at_pi) or at a real root of Q; such a pole forces a sign
+    change, so no definite-sign analysis can absorb it."""
+    p, q = f.half_angle_pair()
+    if p.degree > q.degree and (p.degree - q.degree) % 2 == 1:
+        return True
+    return any(
+        mult % 2 == 1 and count_distinct_roots(factor) > 0
+        for factor, mult in q.squarefree_decomposition()
+    )
 
 
 def cancel_pole_combination(b2: TrigRational, a1: TrigPoly, eta) -> TrigRational:

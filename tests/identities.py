@@ -6,6 +6,8 @@ criteria: the cubic right-hand side as a polynomial in x, the cofactors of
 the invariant curves x = 0 and a1 x = 1, the stability quadratic with the
 constant tail of its Sturm chain, the normalization map with its inverse, and
 the unscaled Sturm chain whose tail these closed forms are compared with.
+The half-period rotation and the vanishing order at theta = pi re-derive the
+poles that the library reads from a half-angle pair.
 Exact values are taken at rational circle points. Witnesses are re-checked
 by the exact sign of each function's sign proxy at the witness sample, and
 resultants are checked against the determinant of the Sylvester matrix.
@@ -235,6 +237,29 @@ def chart_sign(f: TrigLike, chart: str, coord) -> int:
 def witness_sign(f: TrigLike, w: Witness) -> int:
     """Exact sign of f at the witness sample; 0 at zeros and poles."""
     return chart_sign(f, w.chart, w.sample())
+
+
+def rotate_half(f: TrigPoly) -> TrigPoly:
+    """f(theta + pi): each cos^i sin^j term picks up (-1)^(i+j)."""
+    return TrigPoly(
+        tuple(((i, j), c * (-1) ** (i + j)) for (i, j), c in f.terms)
+    )
+
+
+def vanishing_order_at_pi(f: TrigPoly) -> int:
+    """Order of the zero of f at theta = pi (0 when f(pi) != 0).
+
+    theta = pi maps to u = 0 after rotating by half a period, where
+    u = tan(theta/2) is an analytic chart, so the order equals the
+    valuation of the rotated half-angle numerator.
+    """
+    if f.is_zero:
+        raise ValueError("the zero function has no finite vanishing order")
+    n, _ = rotate_half(f).half_angle_chart()
+    order = 0
+    while n.ints[order] == 0:
+        order += 1
+    return order
 
 
 def sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Fraction:

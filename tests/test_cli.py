@@ -20,6 +20,7 @@ from abelcycles.gallery import (
     reproduce,
 )
 from abelcycles.oracle import component_grid, displacement_map, fiber_components
+from abelcycles.oracle_config import MAX_GRID
 from abelcycles.serialize import SchemaError, detect_schema, dumps, parse_input
 from abelcycles.trig import TrigPoly, TrigRational
 
@@ -124,6 +125,16 @@ class TestCheck:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["check", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["check", "transform", "oracle"])
+    def test_too_deeply_nested_input_exits_two(self, command, tmp_path, capsys):
+        # deeper than the JSON decoder can follow
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: not valid JSON: ")
+        assert captured.out == ""
 
     def test_unknown_criterion_exits_two(self, gallery1):
         assert main(["check", "--input", gallery1, "--criteria", "sturmish"]) == 2
@@ -359,6 +370,26 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_grid_above_the_cap_exits_two_before_any_sweep(self, tmp_path, capsys,
+                                                          monkeypatch):
+        class Swept(Exception):
+            pass
+
+        def no_sweep(f, cfg, grid_density):
+            raise Swept(grid_density)
+
+        monkeypatch.setattr(oracle, "count_cycles_in_V", no_sweep)
+        path = tmp_path / "constants.json"
+        path.write_text(dumps(constants_factored_json()))
+        assert main(["oracle", "--input", str(path), "--grid", str(MAX_GRID + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --grid must be between 1 and {MAX_GRID}")
+        assert captured.out == ""
+        # the cap itself is accepted and reaches the sweep, which is stubbed
+        with pytest.raises(Swept) as swept:
+            main(["oracle", "--input", str(path), "--grid", str(MAX_GRID)])
+        assert swept.value.args == (MAX_GRID,)
 
 
 @pytest.mark.parametrize(

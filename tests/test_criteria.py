@@ -35,6 +35,7 @@ from abelcycles.trig import (
     TrigRational,
     cancel_pole_combination,
     definite_sign_report,
+    has_odd_order_pole,
 )
 
 from data import (
@@ -471,6 +472,15 @@ class TestEtaCandidates:
         assert F(-1) in cands
         h = cancel_pole_combination(f.b2, f.a1, F(-1))
         assert h.equals(TrigRational.constant((EX2_N - 1) * EX2_A))
+
+    def test_multiplier_found_only_after_the_half_turn(self):
+        # a1 = 1 + cos t vanishes only at t = pi, which the half-angle chart
+        # reads at u = infinity: only the half-turned pairs see the pole there
+        a1 = TrigPoly.constant(1) + TrigPoly.coswave()
+        b2 = TrigRational.constant(1) + TrigRational(a1.derivative(), a1).scale(2)
+        f = FactoredAbel.from_parts(a1, TrigRational.constant(1), b2)
+        assert F(-2) in eta_candidates(f)
+        assert not has_odd_order_pole(cancel_pole_combination(b2, a1, F(-2)))
 
 
 class TestBestOverEtas:

@@ -38,13 +38,14 @@ from abelcycles.trig import (
     PoleError,
     TrigPoly,
     TrigRational,
+    _half_turn,
+    _value_at_pi,
     cancel_pole_combination,
     definite_sign_report,
     has_odd_order_pole,
-    vanishing_order_at_pi,
 )
 from data import random_instance
-from identities import chart_sign, circle_point
+from identities import chart_sign, circle_point, rotate_half, vanishing_order_at_pi
 from oracles import (
     half_angle_chart_reference,
     poly_float,
@@ -399,6 +400,33 @@ class TestReduceOnce:
         assert {g.pole_free() for g in fs} == {True, False}
         assert {has_odd_order_pole(g) for g in fs} == {True, False}
         assert any(not g.pole_free() and not has_odd_order_pole(g) for g in fs)
+
+    @given(
+        trig_polys(max_power=2, max_terms=3),
+        trig_polys(max_power=2, max_terms=3),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pair_readings_match_the_rechart(self, n, d, num_at_pi, den_at_pi):
+        # factors 1 + cos t put zeros and poles at t = pi, which the
+        # half-angle chart reads at u = infinity
+        if d.is_zero:
+            return
+        one_plus_cos = TrigPoly.constant(1) + TrigPoly.coswave()
+        for _ in range(num_at_pi):
+            n = n * one_plus_cos
+        for _ in range(den_at_pi):
+            d = d * one_plus_cos
+        f = TrigRational(n, d)
+        assert f.pole_free() == _reference_pole_free(f)
+        assert has_odd_order_pole(f) == _reference_has_odd_order_pole(f)
+        p, q = _half_turn(*f.half_angle_pair())
+        rp, rq = TrigRational(rotate_half(n), rotate_half(d)).half_angle_pair()
+        k = rq.leading / q.leading
+        assert (p.scale(k), q.scale(k)) == (rp, rq)
+        if f.pole_free():
+            assert _value_at_pi(*f.half_angle_pair()) == f.reduced().eval_at(F(-1), F(0))
 
 
 def _num_den_chart(r: TrigRational) -> tuple[list, list]:
