@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .poly import SignOnSet, as_fraction
+from .poly import SignOnSet, _memo, as_fraction
 from .trig import (
     Period,
     TrigPoly,
@@ -119,7 +119,8 @@ class FactoredAbel:
         return self.b2 - self.log_deriv_a1()
 
     def to_abel(self) -> AbelEquation:
-        return AbelEquation(self.c1, self.c2, self.c3)
+        """The raw form, built once per run scope for equal equations."""
+        return _memo(("abel", self), lambda: AbelEquation(self.c1, self.c2, self.c3))
 
     @property
     def period(self) -> Period:
@@ -168,19 +169,11 @@ class RegionKind(Enum):
 
 @dataclass(frozen=True)
 class RegionV:
-    """The bounded region between/around the curves x = 0 and a1 x = 1."""
+    """The region between or around the curves x = 0 and a1 x = 1: it is
+    0 < x < 1/a1(t) when a1 > 0; x > 0 with x < 1/a1(t) where a1(t) > 0 when
+    a1 changes sign; x > 0 or x < 1/a1(t), two components, when a1 < 0."""
 
     kind: RegionKind
-    description: str
-
-
-_REGION_TEXT = {
-    RegionKind.A1_POSITIVE: "0 < x < 1/a1(t) for every t",
-    RegionKind.A1_SIGN_CHANGING: (
-        "x > 0, additionally x < 1/a1(t) for t with a1(t) > 0"
-    ),
-    RegionKind.A1_NEGATIVE: "x > 0 or x < 1/a1(t) (two components)",
-}
 
 
 def classify_region(f: FactoredAbel) -> RegionV:
@@ -198,7 +191,7 @@ def classify_region(f: FactoredAbel) -> RegionV:
         kind = RegionKind.A1_NEGATIVE
     else:
         kind = RegionKind.A1_SIGN_CHANGING
-    return RegionV(kind, _REGION_TEXT[kind])
+    return RegionV(kind)
 
 
 def negative_component_transform(f: FactoredAbel) -> FactoredAbel:

@@ -45,7 +45,7 @@ from .planar import (
     detect_rigid,
     rigid_to_abel,
 )
-from .poly import exact_cache
+from .poly import as_fraction, exact_cache
 from .serialize import ParsedInput, SchemaError, dumps, load_input
 
 # the oracle, and numpy with it, is imported only by the calls that sweep
@@ -232,13 +232,14 @@ def cmd_transform(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    from .oracle import count_cycles_in_V
+    from .oracle import _check_float_range, count_cycles_in_V
 
     if cfg.input is None:
         return _fail("--input is required")
     try:
         parsed = load_input(cfg.input)
         f = _resolve_factored(parsed)
+        _check_float_range(f)
         icfg = IntegratorConfig(rtol=cfg.rtol, atol=cfg.atol)
     except INPUT_ERRORS as exc:
         return _fail(str(exc))
@@ -312,7 +313,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         opts.pop("criteria", None)
     if opts.get("eta") is not None:
         try:
-            opts["eta"] = Fraction(opts["eta"])
+            opts["eta"] = as_fraction(opts["eta"])
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad --eta value {opts['eta']!r}: {exc}") from exc
     if not 1 <= opts.get("grid", 1) <= MAX_GRID:

@@ -48,12 +48,10 @@ from .poly import (
     SignOnSet,
     as_fraction,
     count_distinct_roots,
-    find_strict_interval,
     frac_str,
     isolate_real_roots,
     real_line_cells,
     refine_interval,
-    sign_implication,
     sign_report_on_real_line,
 )
 from .trig import (
@@ -210,16 +208,10 @@ def circle_implication(
     Zeros and poles of the premise never activate it; zeros and poles of the
     conclusion never violate it (proxy value zero lands in the closed class).
     """
-    chart = CircleChart((premise, conclusion))
-    cond_a = "<0" if prem_dir < 0 else ">0"
-    cond_b = ">=0" if concl_dir > 0 else "<=0"
-    for name, (pp, pc) in chart.pieces:
-        holds, sample = sign_implication(pp, cond_a, pc, cond_b, chart.cells)
-        if not holds:
-            return False, Witness(condition, name, point=sample)
-    for circle, (vp, vc) in chart.points:
-        if vp * prem_dir > 0 and vc * concl_dir < 0:
-            return False, Witness(condition, "point", circle=circle)
+    violation = (prem_dir, -concl_dir)
+    for name, x, signs in CircleChart((premise, conclusion)).samples():
+        if signs == violation:
+            return False, _witness_from_sample(condition, (name, x))
     return True, None
 
 
@@ -230,11 +222,11 @@ def circle_strict_interval(
     requested strict sign, or None when no such interval exists anywhere (the
     chart cells are exhaustive, so None is a certificate of absence)."""
     chart = CircleChart([f for f, _ in constraints])
-    dirs = [d for _, d in constraints]
-    for name, proxies in chart.pieces:
-        got = find_strict_interval(list(zip(proxies, dirs)), chart.cells)
-        if got is not None:
-            return StrictnessEvidence(condition, name, got[0], got[1])
+    dirs = tuple(d for _, d in constraints)
+    for name, x, signs in chart.samples():
+        if name != "point" and signs == dirs:
+            lo, hi = chart.cells.gap(chart.cells.samples.index(x))
+            return StrictnessEvidence(condition, name, lo, hi)
     return None
 
 
@@ -257,12 +249,9 @@ def _sign_change_witnesses(label: str, rep: SignReport) -> list[Witness]:
 def _zero_witness(fp: TrigPoly, label: str) -> Optional[Witness]:
     """An isolating interval (or exact point) around a zero of fp."""
     chart = CircleChart((fp,))
-    # a 'tan2' piece has the roots of the 'tan' one
-    name, (p,) = chart.pieces[0]
-    if p.degree > 0:
-        intervals = isolate_real_roots(p)
-        if intervals:
-            return Witness(label, name, interval=intervals[0])
+    # fp is nonzero, and a 'tan2' piece has the roots of the 'tan' one
+    if chart.cells.intervals:
+        return Witness(label, chart.pieces[0][0], interval=chart.cells.intervals[0])
     for circle, (v,) in chart.points:
         if v == 0:
             return Witness(label, "point", circle=circle)

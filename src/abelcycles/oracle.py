@@ -145,6 +145,21 @@ def _compile_rational(tr: TrigRational) -> tuple[tuple, tuple]:
     return num, den
 
 
+def _check_float_range(f: FactoredAbel) -> None:
+    """Raise ValueError unless every coefficient that a sweep of f reads as
+    a float is in float range: those of a1, which fiber_components reads,
+    and those of each equation it integrates."""
+    try:
+        for _, eq, _, _ in fiber_components(f)[0]:
+            abel = eq.to_abel() if isinstance(eq, FactoredAbel) else eq
+            for c in (abel.c1, abel.c2, abel.c3):
+                _compile_rational(c)
+    except OverflowError:
+        raise ValueError(
+            "a coefficient lies beyond float range, and the oracle integrates in floats"
+        ) from None
+
+
 def _arc_range(terms: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds of sum co cos^i sin^j on each arc: the endpoint
     values widened by a Lipschitz bound over half an arc and by a rounding

@@ -13,13 +13,13 @@ Two families are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .abel import AbelEquation, FactoredAbel
 from .poly import MAX_DEGREE, as_fraction, frac_str
-from .trig import TrigPoly, TrigRational
+from .trig import TrigPoly, TrigRational, _json_terms
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class BivariatePoly:
 
     @staticmethod
     def from_json(data: Sequence[dict]) -> "BivariatePoly":
-        return BivariatePoly.from_terms((d["i"], d["j"], d["c"]) for d in data)
+        return BivariatePoly.from_terms(_json_terms(data))
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,8 @@ class HomogeneousSystem:
     q: BivariatePoly
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("nonlinearity degree must be at least 2")
+        if type(self.n) is not int or self.n < 2:  # a bool is not an int here
+            raise ValueError(f"degree n must be an integer of at least 2, got {self.n!r}")
         if not self.p.is_homogeneous(self.n) or not self.q.is_homogeneous(self.n):
             raise ValueError(f"P and Q must be homogeneous of degree {self.n}")
 
@@ -267,7 +267,7 @@ class HomogeneousSystem:
     def from_json(data: dict) -> "HomogeneousSystem":
         return HomogeneousSystem.of(
             data["a"],
-            int(data["n"]),
+            data["n"],
             BivariatePoly.from_json(data["P"]),
             BivariatePoly.from_json(data["Q"]),
         )

@@ -12,6 +12,7 @@ chains and gcds are built from integer pseudo-remainders.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -63,27 +64,6 @@ def sign_set_from_flags(has_pos: bool, has_zero: bool, has_neg: bool) -> SignOnS
     return SignOnSet.IDENTICALLY_ZERO
 
 
-def sign_set_flags(s: SignOnSet) -> tuple[bool, bool, bool]:
-    return {
-        SignOnSet.STRICTLY_POSITIVE: (True, False, False),
-        SignOnSet.NON_NEGATIVE: (True, True, False),
-        SignOnSet.STRICTLY_NEGATIVE: (False, False, True),
-        SignOnSet.NON_POSITIVE: (False, True, True),
-        SignOnSet.IDENTICALLY_ZERO: (False, True, False),
-        SignOnSet.MIXED: (True, True, True),
-    }[s]
-
-
-def join_sign_sets(*sets: SignOnSet) -> SignOnSet:
-    has_pos = has_zero = has_neg = False
-    for s in sets:
-        p, z, n = sign_set_flags(s)
-        has_pos |= p
-        has_zero |= z
-        has_neg |= n
-    return sign_set_from_flags(has_pos, has_zero, has_neg)
-
-
 class _Infinity:
     __slots__ = ("sign",)
 
@@ -128,9 +108,22 @@ def _memo(key, make):
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' or '1.5e3', and Fractions to Fraction.
+
+    A string whose exponent asks for more digits than Python converts
+    (sys.get_int_max_str_digits()) is refused before it is built: building
+    '1e10000000' alone takes seconds, and no later step could print it."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()
+        mantissa, e, exponent = x.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if limit and e and digits.isdigit() and (
+            len(digits) > len(str(limit))
+            or int(digits) + sum(ch.isdigit() for ch in mantissa) > limit
+        ):
+            raise ValueError(f"a coefficient has more than {limit} digits")
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {x!r}")
@@ -539,7 +532,20 @@ class CellDecomposition:
 
     intervals: list[tuple[Fraction, Fraction]]
     samples: list[Fraction]
-    outer_bound: Fraction
+
+    def gap(self, i: int) -> tuple[Fraction, Fraction]:
+        """A closed rational interval of positive length inside cell i, so
+        free of roots: between the two roots that bound the cell, a unit
+        interval beyond the sample of an unbounded cell, or one around the
+        sample when no root cuts the line."""
+        s = self.samples[i]
+        if not self.intervals:
+            return (s - 1, s + 1)
+        if i == 0:
+            return (s - 2, s - 1)
+        if i == len(self.samples) - 1:
+            return (s + 1, s + 2)
+        return (self.intervals[i - 1][1], self.intervals[i][0])
 
 
 def real_line_cells(polys: Sequence[RationalPoly]) -> CellDecomposition:
@@ -555,82 +561,14 @@ def real_line_cells(polys: Sequence[RationalPoly]) -> CellDecomposition:
         if q.degree > 0:
             product = product * q.squarefree_part()
     if product.degree <= 0:
-        return CellDecomposition([], [Fraction(0)], Fraction(1))
+        return CellDecomposition([], [Fraction(0)])
     intervals = isolate_real_roots(product)
     bound = Fraction(math.ceil(product.cauchy_bound()) + 1)
     samples = [-bound]
     for (a, b), (c, d) in zip(intervals, intervals[1:]):
         samples.append(b + (c - b) / 2)
     samples.append(bound)
-    return CellDecomposition(intervals, samples, bound)
-
-
-_PREMISE_OK = {"<0": lambda s: s < 0, ">0": lambda s: s > 0}
-_CONCLUSION_OK = {"<=0": lambda s: s <= 0, ">=0": lambda s: s >= 0}
-
-
-def sign_implication(
-    a: RationalPoly,
-    cond_a: str,
-    b: RationalPoly,
-    cond_b: str,
-    cells: Optional[CellDecomposition] = None,
-) -> tuple[bool, Optional[Fraction]]:
-    """Decide whether A(t) cond_a implies B(t) cond_b for every real t.
-
-    cond_a is a strict sign ('<0' or '>0'), cond_b a non-strict one
-    ('<=0' or '>=0'). Returns (holds, witness); the witness is a rational
-    point violating the implication. Decision: at roots of A the premise is
-    false and at roots of B the non-strict conclusion holds, so it is enough
-    to check one rational sample inside each open cell cut by roots of A*B.
-    `cells`, when given, must be those cells (from polynomials with the same
-    real roots), so a caller can reuse one isolation for several sign flips.
-    """
-    if cond_a not in _PREMISE_OK or cond_b not in _CONCLUSION_OK:
-        raise ValueError(f"unsupported condition pair {cond_a!r}, {cond_b!r}")
-    if a.is_zero:
-        return True, None
-    if b.is_zero:
-        return True, None
-    prem = _PREMISE_OK[cond_a]
-    concl = _CONCLUSION_OK[cond_b]
-    if cells is None:
-        cells = real_line_cells([a, b])
-    for s in cells.samples:
-        if prem(a.sign(s)) and not concl(b.sign(s)):
-            return False, s
-    return True, None
-
-
-def find_strict_interval(
-    constraints: Sequence[tuple[RationalPoly, int]],
-    cells: Optional[CellDecomposition] = None,
-) -> Optional[tuple[Fraction, Fraction]]:
-    """A closed rational interval of positive length where every polynomial
-    keeps the requested strict sign (+1 or -1), or None.
-
-    The interval is a root-free gap of the product polynomial, so a single
-    exact sample certifies the strict signs on all of it. `cells` may be
-    passed in as for sign_implication.
-    """
-    polys = [p for p, _ in constraints]
-    if any(p.is_zero for p in polys):
-        return None
-    if cells is None:
-        cells = real_line_cells(polys)
-    n = len(cells.samples)
-    for idx, s in enumerate(cells.samples):
-        if all(p.sign(s) == want for p, want in constraints):
-            if not cells.intervals:
-                return (s - 1, s + 1)
-            if idx == 0:
-                return (s - 2, s - 1)
-            if idx == n - 1:
-                return (s + 1, s + 2)
-            left = cells.intervals[idx - 1][1]
-            right = cells.intervals[idx][0]
-            return (left, right)
-    return None
+    return CellDecomposition(intervals, samples)
 
 
 def sign_report_on_real_line(
@@ -639,18 +577,9 @@ def sign_report_on_real_line(
     """Sign classification plus rational sample points attaining >0 and <0."""
     if p.is_zero:
         return SignOnSet.IDENTICALLY_ZERO, None, None
-    cells = real_line_cells([p]) if p.degree > 0 else None
-    samples = cells.samples if cells else [Fraction(0)]
-    pos_at = neg_at = None
-    for s in samples:
-        v = p.sign(s)
-        if v > 0 and pos_at is None:
-            pos_at = s
-        if v < 0 and neg_at is None:
-            neg_at = s
-    has_zero = bool(cells.intervals) if cells else False
-    return (
-        sign_set_from_flags(pos_at is not None, has_zero, neg_at is not None),
-        pos_at,
-        neg_at,
-    )
+    cells = real_line_cells([p])
+    at = {}  # the first sample of each sign
+    for s in cells.samples:
+        at.setdefault(p.sign(s), s)
+    has_zero = bool(cells.intervals)
+    return sign_set_from_flags(1 in at, has_zero, -1 in at), at.get(1), at.get(-1)

@@ -12,12 +12,13 @@ Sign questions over a full period are settled exactly in one of two charts:
 * half-angle chart, u = tan(t/2): any f equals N(u)/(1+u^2)^k on the circle
   minus the single point t = pi, with N rational.
 
-Both charts reduce circle questions to RationalPoly sign decisions. A
-rational function is read through its sign proxy, a TrigPoly with its sign
-(`TrigRational.sign_proxy`). A CircleChart picks the chart for the proxies
-of several functions at once and carries the circle points it misses
-exactly; each TrigPoly builds its two chart polynomials and its sign report
-once, on first use, and keeps them (shared by equal values in a run scope).
+A rational function is read through its sign proxy, a TrigPoly with its
+sign (`TrigRational.sign_proxy`). A CircleChart picks the chart for the
+proxies of several functions at once, and its `samples()` gives their signs
+at one rational point per open cell and at each circle point the chart
+misses: every circle sign question is a scan of them. Each TrigPoly builds
+its two chart polynomials and its sign report once, on first use, and keeps
+them (shared by equal values in a run scope).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .poly import (
     MAX_DEGREE,
@@ -38,9 +39,8 @@ from .poly import (
     as_fraction,
     count_distinct_roots,
     frac_str,
-    join_sign_sets,
     real_line_cells,
-    sign_report_on_real_line,
+    sign_set_from_flags,
 )
 
 
@@ -59,6 +59,16 @@ class NonHomogeneousError(ValueError):
 
 def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
+
+
+def _json_terms(data: Sequence[dict]) -> list[tuple[int, int, object]]:
+    """(i, j, c) of input terms {"i": int, "j": int, "c": ...}; an exponent
+    that is not a JSON integer (a bool is not one) is refused."""
+    terms = [(d["i"], d["j"], d["c"]) for d in data]
+    for i, j, _ in terms:
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"an exponent must be an integer, got i = {i!r}, j = {j!r}")
+    return terms
 
 
 @dataclass(frozen=True)
@@ -268,7 +278,7 @@ class TrigPoly:
     def from_json(data: Sequence[dict]) -> "TrigPoly":
         """Parse input terms; a term above MAX_DEGREE is rejected here, while
         products built later stay uncapped."""
-        terms = [(d["i"], d["j"], d["c"]) for d in data]
+        terms = _json_terms(data)
         for i, j, _ in terms:
             if i + j > MAX_DEGREE:
                 raise ValueError(f"trig degree {i + j} exceeds cap {MAX_DEGREE}")
@@ -528,17 +538,36 @@ class CircleChart:
             return None
         return real_line_cells(proxies)
 
+    def samples(self) -> Iterator[tuple[str, object, tuple[int, ...]]]:
+        """(chart, coordinate, signs of the proxies) at the sample of every
+        open cell of each piece in turn, then at each missed point; no cell is
+        sampled when some proxy vanishes identically. One sign per cell
+        settles each circle-wide sign question (the sign determination of
+        Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry)."""
+        cells = self.cells
+        if cells is not None:
+            for name, polys in self.pieces:
+                for x in cells.samples:
+                    yield name, x, tuple(p.sign(x) for p in polys)
+        for circle, values in self.points:
+            yield "point", circle, tuple(_sgn(v) for v in values)
+
     @staticmethod
     def angle(chart: str, coord) -> float:
         """Float angle of a chart sample. coord is tan t for 'tan' and 'tan2'
         (the shifted half period), tan(t/2) for 'half' (the angle stays in
-        (-pi, pi]), and the exact (cos, sin) for 'point'."""
+        [-pi, pi]), and the exact (cos, sin) for 'point'. A coordinate beyond
+        float range reads as an infinity of its sign."""
         if chart == "point":
             c, s = coord
             return math.atan2(float(s), float(c)) % (2 * math.pi)
+        try:
+            x = float(coord)
+        except OverflowError:
+            x = math.inf if coord > 0 else -math.inf
         if chart == "half":
-            return 2.0 * math.atan(float(coord))
-        theta = math.atan(float(coord))
+            return 2.0 * math.atan(x)
+        theta = math.atan(x)
         if chart == "tan2":
             theta += math.pi
         return theta % (2 * math.pi)
@@ -557,25 +586,6 @@ class SignReport:
     negative_at: Optional[tuple] = None
 
 
-def _point_sign_set(value: Fraction) -> SignOnSet:
-    if value > 0:
-        return SignOnSet.STRICTLY_POSITIVE
-    if value < 0:
-        return SignOnSet.STRICTLY_NEGATIVE
-    return SignOnSet.IDENTICALLY_ZERO
-
-
-def _flip_sign_set(s: SignOnSet) -> SignOnSet:
-    return {
-        SignOnSet.STRICTLY_POSITIVE: SignOnSet.STRICTLY_NEGATIVE,
-        SignOnSet.NON_NEGATIVE: SignOnSet.NON_POSITIVE,
-        SignOnSet.STRICTLY_NEGATIVE: SignOnSet.STRICTLY_POSITIVE,
-        SignOnSet.NON_POSITIVE: SignOnSet.NON_NEGATIVE,
-        SignOnSet.IDENTICALLY_ZERO: SignOnSet.IDENTICALLY_ZERO,
-        SignOnSet.MIXED: SignOnSet.MIXED,
-    }[s]
-
-
 def definite_sign_report(f: TrigLike) -> SignReport:
     """Exact sign classification of f over [0, 2pi] with witnesses, made on
     first use and kept on the TrigPoly that is read.
@@ -592,21 +602,14 @@ def _classify_signs(f: TrigPoly) -> SignReport:
     if f.is_zero:
         return SignReport(SignOnSet.IDENTICALLY_ZERO)
     chart = CircleChart((f,))
-    name, (p,) = chart.pieces[0]
-    s_open, pos, neg = sign_report_on_real_line(p)
-    signs = [s_open]
-    samples = [(1, name, pos), (-1, name, neg)]
-    if len(chart.pieces) == 2:  # 'tan2': the same samples, sign flipped
-        signs.append(_flip_sign_set(s_open))
-        samples += [(-1, "tan2", pos), (1, "tan2", neg)]
-    for circle, (v,) in chart.points:
-        signs.append(_point_sign_set(v))
-        samples.append((_sgn(v), "point", circle))
-    pos_at, neg_at = (
-        next(((c, x) for s, c, x in samples if s == want and x is not None), None)
-        for want in (1, -1)
+    # a nonzero f has a nonzero chart polynomial, so chart.cells is not None
+    at = {}  # the first sample of each sign
+    for name, x, (sign,) in chart.samples():
+        at.setdefault(sign, (name, x))
+    has_zero = bool(chart.cells.intervals) or 0 in at
+    return SignReport(
+        sign_set_from_flags(1 in at, has_zero, -1 in at), at.get(1), at.get(-1)
     )
-    return SignReport(join_sign_sets(*signs), pos_at, neg_at)
 
 
 def has_odd_order_pole(f: TrigRational) -> bool:

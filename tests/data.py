@@ -139,6 +139,21 @@ def random_instance(rng: random.Random) -> FactoredAbel:
     )
 
 
+def random_trig_poly(rng: random.Random, max_degree: int, height: int) -> TrigPoly:
+    """A trig polynomial of degree at most max_degree with integer
+    coefficients in [-height, height]. Half the draws are parity-pure, so a
+    circle chart reads them in the tangent chart (with a 'tan2' piece at odd
+    degree); the rest are read in the half-angle chart."""
+    degree = rng.randint(0, max_degree)
+    pure = rng.random() < 0.5
+    return TrigPoly.from_terms(
+        (i, d - i, rng.randint(-height, height))
+        for d in range(degree + 1)
+        if not pure or (degree - d) % 2 == 0
+        for i in range(d + 1)
+    )
+
+
 def family_member(a1: TrigPoly, g: TrigPoly, alpha: int, beta: int) -> FactoredAbel:
     """a2 = alpha g a1 and b2 = beta g, for a strictly signed a1: in the chart
     y = a1 x the equation is y' = g y (y - 1)(alpha y - beta), which

@@ -7,7 +7,9 @@ the invariant curves x = 0 and a1 x = 1, the stability quadratic with the
 constant tail of its Sturm chain, the normalization map with its inverse, and
 the unscaled Sturm chain whose tail these closed forms are compared with.
 The half-period rotation and the vanishing order at theta = pi re-derive the
-poles that the library reads from a half-angle pair.
+poles that the library reads from a half-angle pair. The real-line sign
+implication and strict-interval search are the references that the circle
+sign walks of the library are checked against.
 Exact values are taken at rational circle points. Witnesses are re-checked
 by the exact sign of each function's sign proxy at the witness sample, and
 resultants are checked against the determinant of the Sylvester matrix.
@@ -17,11 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from abelcycles.abel import AbelEquation, FactoredAbel
 from abelcycles.criteria import Witness
-from abelcycles.poly import RationalPoly, SignOnSet, as_fraction
+from abelcycles.poly import (
+    CellDecomposition,
+    RationalPoly,
+    SignOnSet,
+    as_fraction,
+    real_line_cells,
+)
 from abelcycles.trig import (
     TrigLike,
     TrigPoly,
@@ -286,3 +294,71 @@ def sylvester_resultant(p: RationalPoly, q: RationalPoly) -> Fraction:
             if ratio:
                 rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[col])]
     return det
+
+
+_PREMISE_OK = {"<0": lambda s: s < 0, ">0": lambda s: s > 0}
+_CONCLUSION_OK = {"<=0": lambda s: s <= 0, ">=0": lambda s: s >= 0}
+
+
+def sign_implication(
+    a: RationalPoly,
+    cond_a: str,
+    b: RationalPoly,
+    cond_b: str,
+    cells: Optional[CellDecomposition] = None,
+) -> tuple[bool, Optional[Fraction]]:
+    """Decide whether A(t) cond_a implies B(t) cond_b for every real t.
+
+    cond_a is a strict sign ('<0' or '>0'), cond_b a non-strict one
+    ('<=0' or '>=0'). Returns (holds, witness); the witness is a rational
+    point violating the implication. Decision: at roots of A the premise is
+    false and at roots of B the non-strict conclusion holds, so it is enough
+    to check one rational sample inside each open cell cut by roots of A*B.
+    `cells`, when given, must be those cells (from polynomials with the same
+    real roots), so a caller can reuse one isolation for several sign flips.
+    """
+    if cond_a not in _PREMISE_OK or cond_b not in _CONCLUSION_OK:
+        raise ValueError(f"unsupported condition pair {cond_a!r}, {cond_b!r}")
+    if a.is_zero:
+        return True, None
+    if b.is_zero:
+        return True, None
+    prem = _PREMISE_OK[cond_a]
+    concl = _CONCLUSION_OK[cond_b]
+    if cells is None:
+        cells = real_line_cells([a, b])
+    for s in cells.samples:
+        if prem(a.sign(s)) and not concl(b.sign(s)):
+            return False, s
+    return True, None
+
+
+def find_strict_interval(
+    constraints: Sequence[tuple[RationalPoly, int]],
+    cells: Optional[CellDecomposition] = None,
+) -> Optional[tuple[Fraction, Fraction]]:
+    """A closed rational interval of positive length where every polynomial
+    keeps the requested strict sign (+1 or -1), or None.
+
+    The interval is a root-free gap of the product polynomial, so a single
+    exact sample certifies the strict signs on all of it. `cells` may be
+    passed in as for sign_implication.
+    """
+    polys = [p for p, _ in constraints]
+    if any(p.is_zero for p in polys):
+        return None
+    if cells is None:
+        cells = real_line_cells(polys)
+    n = len(cells.samples)
+    for idx, s in enumerate(cells.samples):
+        if all(p.sign(s) == want for p, want in constraints):
+            if not cells.intervals:
+                return (s - 1, s + 1)
+            if idx == 0:
+                return (s - 2, s - 1)
+            if idx == n - 1:
+                return (s + 1, s + 2)
+            left = cells.intervals[idx - 1][1]
+            right = cells.intervals[idx][0]
+            return (left, right)
+    return None

@@ -1,8 +1,8 @@
 """Independent oracles used to validate the exact machinery.
 
 These deliberately avoid the package's own Sturm code paths: root counting is
-dense float sampling plus bisection, implications are dense sampling with a
-robustness margin. The chart references multiply the chart polynomials out
+dense float sampling plus bisection, circle implications are dense sampling
+with a robustness margin. The chart references multiply the chart polynomials out
 term by term, by polynomial powers, instead of by binomial expansion. The
 numerical checks follow a trajectory started on an invariant curve, and
 integrate the stability integral of the a1 curve by the midpoint rule. Float
@@ -106,28 +106,34 @@ def brute_force_distinct_roots(
     return sum(1 for r in merged if lo_eff + eps < r < hi_eff - eps)
 
 
-def robust_implication_violation(
-    a: RationalPoly,
-    cond_a: str,
-    b: RationalPoly,
-    cond_b: str,
+def _trig_grid(f: TrigPoly, thetas: np.ndarray) -> np.ndarray:
+    c, s = np.cos(thetas), np.sin(thetas)
+    acc = np.zeros_like(thetas)
+    for (i, j), co in f.terms:
+        acc = acc + float(co) * c**i * s**j
+    return acc
+
+
+def robust_circle_violation(
+    a: TrigPoly,
+    prem_dir: int,
+    b: TrigPoly,
+    concl_dir: int,
     n_samples: int = 100_000,
     margin: float = 1e-9,
 ) -> float | None:
-    """Search for a float t where A(t) satisfies cond_a and B(t) robustly
-    violates cond_b; returns the point or None."""
-    bound = max(float(a.cauchy_bound()), float(b.cauchy_bound())) + 1.0
-    xs = np.linspace(-bound, bound, n_samples)
-    av = _eval_grid(_float_coeffs(a), xs)
-    bv = _eval_grid(_float_coeffs(b), xs)
+    """Search for a float angle where a has sign prem_dir and b robustly has
+    sign -concl_dir; returns the angle or None."""
+    thetas = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    av, bv = _trig_grid(a, thetas), _trig_grid(b, thetas)
     scale_a = np.max(np.abs(av)) or 1.0
     scale_b = np.max(np.abs(bv)) or 1.0
-    prem = av < -margin * scale_a if cond_a == "<0" else av > margin * scale_a
-    viol = bv > margin * scale_b if cond_b == "<=0" else bv < -margin * scale_b
+    prem = prem_dir * av > margin * scale_a
+    viol = concl_dir * bv < -margin * scale_b
     hits = np.where(prem & viol)[0]
     if len(hits) == 0:
         return None
-    return float(xs[hits[0]])
+    return float(thetas[hits[0]])
 
 
 def trig_grid_extrema(f, n_samples: int = 4096) -> tuple[float, float]:

@@ -16,6 +16,7 @@ from abelcycles.criteria import (
     check_no_cycle,
     check_normalized,
     check_planar_no_cycle,
+    circle_implication,
     eta_candidates,
     obstruction_report,
 )
@@ -37,7 +38,6 @@ from abelcycles.poly import (
     EndpointRootError,
     RationalPoly,
     count_distinct_roots,
-    sign_implication,
 )
 from abelcycles.trig import TrigPoly, TrigRational, cancel_pole_combination
 
@@ -57,7 +57,9 @@ from data import (
     RIGID_K,
     RIGID_P_TERMS,
     random_instance,
+    random_trig_poly,
 )
+from identities import circle_point, witness_sign
 from oracles import verify_invariance
 
 F = Fraction
@@ -244,6 +246,10 @@ def _random_poly(rng: random.Random, max_degree: int, height: int) -> RationalPo
     return RationalPoly.from_coeffs(coeffs)
 
 
+def _sign(v: Fraction) -> int:
+    return (v > 0) - (v < 0)
+
+
 def test_criterion_4_root_counting_matches_brute_force():
     with criterion(4, "root counting vs brute force", 120.0):
         rng = random.Random(20260815)
@@ -268,23 +274,22 @@ def test_criterion_4_root_counting_matches_brute_force():
                 interval_checks += 1
         assert interval_checks == 20
 
-        grid = [F(k, 8) for k in range(-400, 401)]
+        # t = pi and the circle points of half-angle u = k/8, |k| <= 400
+        circle = [(F(-1), F(0))] + [circle_point(F(k, 8)) for k in range(-400, 401)]
         for _ in range(200):
-            a = _random_poly(rng, 5, 20)
-            b = _random_poly(rng, 5, 20)
-            cond_a = rng.choice(["<0", ">0"])
-            cond_b = rng.choice(["<=0", ">=0"])
-            holds, witness = sign_implication(a, cond_a, b, cond_b)
-            prem = (lambda v: v < 0) if cond_a == "<0" else (lambda v: v > 0)
-            concl = (lambda v: v <= 0) if cond_b == "<=0" else (lambda v: v >= 0)
+            a = random_trig_poly(rng, 4, 20)
+            b = random_trig_poly(rng, 4, 20)
+            prem_dir = rng.choice([-1, 1])
+            concl_dir = rng.choice([-1, 1])
+            holds, witness = circle_implication(a, prem_dir, b, concl_dir)
             if holds:
-                for s in grid:
-                    if prem(a.evaluate(s)):
-                        assert concl(b.evaluate(s)), (a.coeffs, b.coeffs, s)
+                for c, s in circle:
+                    if _sign(a.eval_at(c, s)) == prem_dir:
+                        assert _sign(b.eval_at(c, s)) != -concl_dir, (a, b, c, s)
             else:
                 assert witness is not None
-                assert prem(a.evaluate(witness))
-                assert not concl(b.evaluate(witness))
+                assert witness_sign(a, witness) == prem_dir
+                assert witness_sign(b, witness) == -concl_dir
 
 
 def test_criterion_5_numerical_integrity():

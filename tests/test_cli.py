@@ -4,8 +4,10 @@ import argparse
 import csv
 import gc
 import json
+import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +219,95 @@ class TestOversizedCoefficient:
         assert err.startswith("error:")
         assert "more than 4300 digits" in err
         assert "sys." not in err
+
+
+    def test_exponent_notation_exits_two_at_once(self, tmp_path, capsys):
+        one = [_term(0, 0, "1")]
+        path = tmp_path / "input.json"
+        path.write_text(dumps({"a1": [_term(0, 0, "1e10000")], "a2": one, "b2": one}))
+        t0 = time.perf_counter()
+        code = main(["check", "--input", str(path)])
+        seconds = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert seconds < 2.0
+        assert out == ""
+        assert err.startswith("error:")
+        assert "more than 4300 digits" in err
+        assert "sys." not in err
+
+    def test_eta_in_exponent_notation_is_a_usage_error(self, capsys):
+        t0 = time.perf_counter()
+        code = main(["check", "--input", str(GOLDEN / "cubic.json"), "--eta", "1e5000"])
+        seconds = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert seconds < 2.0
+        assert out == ""
+        assert err.startswith("error: bad --eta value")
+        assert "sys." not in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+ONE = [_term(0, 0, "1")]
+NON_INTEGER_INPUTS = {
+    "a1-exponent": {"a1": [_term(0.5, 0, "1")], "a2": ONE, "b2": ONE},
+    "a1-bool-exponent": {"a1": [_term(True, 0, "1")], "a2": ONE, "b2": ONE},
+    "P-exponents": {
+        "a": "1", "n": 3, "P": [_term(2.5, 0.5, "1")], "Q": [_term(3, 0, "1")]
+    },
+    "n": {"a": "1", "n": 3.7, "P": [_term(3, 0, "1")], "Q": [_term(0, 3, "1")]},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "oracle", "transform"])
+@pytest.mark.parametrize("kind", sorted(NON_INTEGER_INPUTS))
+def test_non_integer_exponent_or_n_exits_two(kind, command, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(NON_INTEGER_INPUTS[kind]))
+    code = main([command, "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be an integer" in err
+
+
+# a1 = 1 + cos t/2 with a2 = -1 + 10^400 sin t, or with a 401-digit constant
+# in a2; b2 = 1
+BEYOND_FLOAT_RANGE = {
+    "exponent": [_term(0, 0, "-1"), _term(0, 1, "1e400")],
+    "digits": [_term(0, 0, "-" + "1" * 401), _term(0, 1, "1")],
+}
+
+
+def _beyond_float_range(kind: str, tmp_path) -> str:
+    path = tmp_path / f"{kind}.json"
+    a1 = [_term(0, 0, "1"), _term(1, 0, "1/2")]
+    path.write_text(json.dumps({"a1": a1, "a2": BEYOND_FLOAT_RANGE[kind], "b2": ONE}))
+    return str(path)
+
+
+class TestBeyondFloatRange:
+    def test_check_reads_a_huge_chart_sample_as_an_infinite_one(self, tmp_path, capsys):
+        code = main(["check", "--input", _beyond_float_range("exponent", tmp_path)])
+        out, err = capsys.readouterr()
+        assert err == ""
+        bundle = json.loads(out)
+        assert code == bundle["exit"] == 0
+        witnesses = [w for v in bundle["verdicts"] for w in v["witnesses"]]
+        huge = [w for w in witnesses if abs(Fraction(w.get("point", "0"))) > 10**308]
+        assert huge
+        for w in huge:
+            assert w["chart"] == "half"
+            assert w["theta"] == (math.pi if Fraction(w["point"]) > 0 else -math.pi)
+
+    @pytest.mark.parametrize("kind", sorted(BEYOND_FLOAT_RANGE))
+    def test_oracle_refuses_the_coefficient(self, kind, tmp_path, capsys):
+        code = main(["oracle", "--input", _beyond_float_range(kind, tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "beyond float range" in err
 
 
 def _witness_from_json(data: dict) -> Witness:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abelcycles.abel import FactoredAbel
@@ -23,14 +23,23 @@ from abelcycles.criteria import (
     check_normalized,
     check_planar_at_most_one,
     check_planar_no_cycle,
+    circle_implication,
+    circle_strict_interval,
     definite_combination_feasible,
     eta_candidates,
     linear_parameter_feasible,
     obstruction_report,
 )
 from abelcycles.planar import HomogeneousSystem, cherkas_transform
-from abelcycles.poly import RationalPoly, SignOnSet, sign_report_on_real_line
+from abelcycles.poly import (
+    RationalPoly,
+    SignOnSet,
+    sign_report_on_real_line,
+    sign_set_from_flags,
+)
 from abelcycles.trig import (
+    CircleChart,
+    SignReport,
     TrigPoly,
     TrigRational,
     cancel_pole_combination,
@@ -50,7 +59,13 @@ from data import (
     EX2_Q3_TERMS,
     random_instance,
 )
-from identities import chart_sign, sylvester_resultant, witness_sign
+from identities import (
+    chart_sign,
+    find_strict_interval,
+    sign_implication,
+    sylvester_resultant,
+    witness_sign,
+)
 
 EX1_FACTORED = FactoredAbel.from_parts(EX1_A1, EX1_A2, EX1_B2)
 EX2_SYSTEM = HomogeneousSystem.of(EX2_A, EX2_N, EX2_P3_TERMS, EX2_Q3_TERMS)
@@ -719,3 +734,115 @@ class TestVerdictModel:
         for w in blob["witnesses"]:
             assert w["chart"] in ("tan", "tan2", "half", "point")
             assert "theta" in w
+
+
+# --- the circle sign walks against the piece-then-point references ----------
+
+
+def _sgn(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _proxy(f) -> TrigPoly:
+    return f.sign_proxy() if isinstance(f, TrigRational) else f
+
+
+def implication_reference(premise, prem_dir, conclusion, concl_dir, condition=""):
+    """circle_implication as a real-line implication on each chart piece,
+    then a check of each missed point."""
+    chart = CircleChart((premise, conclusion))
+    cond_a = "<0" if prem_dir < 0 else ">0"
+    cond_b = ">=0" if concl_dir > 0 else "<=0"
+    for name, (pp, pc) in chart.pieces:
+        holds, sample = sign_implication(pp, cond_a, pc, cond_b, chart.cells)
+        if not holds:
+            return False, Witness(condition, name, point=sample)
+    for circle, (vp, vc) in chart.points:
+        if vp * prem_dir > 0 and vc * concl_dir < 0:
+            return False, Witness(condition, "point", circle=circle)
+    return True, None
+
+
+def strict_interval_reference(constraints, condition=""):
+    """circle_strict_interval as a real-line search on each chart piece."""
+    chart = CircleChart([f for f, _ in constraints])
+    dirs = [d for _, d in constraints]
+    for name, proxies in chart.pieces:
+        got = find_strict_interval(list(zip(proxies, dirs)), chart.cells)
+        if got is not None:
+            return StrictnessEvidence(condition, name, got[0], got[1])
+    return None
+
+
+def sign_report_reference(f: TrigPoly) -> SignReport:
+    """The sign report of f read off the real-line report of the first
+    chart piece: a 'tan2' piece has its samples with the signs flipped, and
+    the missed points come last."""
+    if f.is_zero:
+        return SignReport(SignOnSet.IDENTICALLY_ZERO)
+    chart = CircleChart((f,))
+    name, (p,) = chart.pieces[0]
+    s_open, pos, neg = sign_report_on_real_line(p)
+    samples = [(1, name, pos), (-1, name, neg)]
+    if len(chart.pieces) == 2:
+        samples += [(-1, "tan2", pos), (1, "tan2", neg)]
+    points = [(_sgn(v), "point", circle) for circle, (v,) in chart.points]
+    pos_at, neg_at = (
+        next(((c, x) for s, c, x in samples + points if s == want and x is not None), None)
+        for want in (1, -1)
+    )
+    has_zero = not s_open.is_strict or any(s == 0 for s, _, _ in points)
+    return SignReport(
+        sign_set_from_flags(pos_at is not None, has_zero, neg_at is not None), pos_at, neg_at
+    )
+
+
+ONE, COS, SIN = TrigPoly.constant(1), TrigPoly.coswave(), TrigPoly.sinwave()
+
+
+@st.composite
+def circle_functions(draw):
+    """A trig polynomial, or a rational, for the sign walks. Parity-pure
+    draws are read in the tangent chart, with a 'tan2' piece at odd degree;
+    an empty term list is the zero function; a factor cos t or 1 + cos t
+    puts a zero on a point that the tangent or the half-angle chart misses."""
+    parity = draw(st.sampled_from([0, 1, None]))
+    term = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
+
+    def poly():
+        terms = draw(st.lists(term, max_size=4))
+        if parity is not None:
+            terms = [(i + (i + j + parity) % 2, j, c) for i, j, c in terms]
+        return TrigPoly.from_terms(terms)
+
+    f = poly() * draw(st.sampled_from([ONE, COS, ONE + COS]))
+    if draw(st.booleans()):
+        den = poly()
+        if not den.is_zero:
+            return TrigRational(f, den)
+    return f
+
+
+class TestCircleSignWalks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        circle_functions(),
+        circle_functions(),
+        st.sampled_from([-1, 1]),
+        st.sampled_from([-1, 1]),
+    )
+    @example(TrigPoly.zero(), SIN, 1, -1)  # an identically zero proxy
+    @example(SIN, COS * SIN, -1, 1)  # parity-pure, odd: a 'tan2' flip
+    @example(ONE + COS, TrigRational(SIN, COS), 1, 1)  # zero at t = pi
+    @example(COS, SIN, 1, -1)  # zero at the missed point t = pi/2
+    def test_walks_match_the_piece_then_point_references(self, f, g, d1, d2):
+        for a, da, b, db in ((f, d1, g, d2), (g, d2, f, d1)):
+            assert repr(circle_implication(a, da, b, db, "c")) == repr(
+                implication_reference(a, da, b, db, "c")
+            )
+        for constraints in ([(f, d1)], [(g, d2)], [(f, d1), (g, d2)]):
+            assert repr(circle_strict_interval(constraints, "c")) == repr(
+                strict_interval_reference(constraints, "c")
+            )
+        for h in (f, g):
+            assert repr(definite_sign_report(h)) == repr(sign_report_reference(_proxy(h)))

@@ -11,7 +11,11 @@ Holds, a Fails of the whole-circle requirement, the neutral-curve and the
 equality-only Inapplicable, and the planar whole-circle Fails, neutral and
 equality-only Inapplicable (`planar-*`). `normalized-eta-beyond-defaults`
 pins a normalized-form multiplier (eta = -12) that lies outside the
-default multiplier list. Each input pins what `check` and
+default multiplier list. `pole-at-pi` (a1 = 1 + cos t, a2 = b2 = -2) pins
+a pole at t = pi alone: a1'/a1 = -sin t/(1 + cos t) has a simple pole
+there and nowhere else, so the multiplier search must see that pole; read
+without it, the no_cycle and at_most_one verdicts move from eta 0 to
+eta -1. Each input pins what `check` and
 `transform` print, and the two gallery reproductions are pinned too.
 
 `golden/oracle/` pins the displacement-map oracle: what `oracle` prints and

@@ -1,4 +1,5 @@
-"""Sanity and property tests for the exact polynomial layer."""
+"""Sanity and property tests for the exact polynomial layer, and the circle
+sign decisions that read its cells."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abelcycles.criteria import circle_implication, circle_strict_interval
 from abelcycles.poly import (
     NEG_INF,
     POS_INF,
@@ -18,15 +20,15 @@ from abelcycles.poly import (
     SignOnSet,
     _scaled_sturm_chain,
     count_distinct_roots,
-    find_strict_interval,
     isolate_real_roots,
-    sign_implication,
     sign_report_on_real_line,
     sign_variations,
 )
+from abelcycles.trig import TrigPoly
 
-from identities import sturm_sequence
-from oracles import brute_force_distinct_roots, robust_implication_violation
+from data import random_trig_poly
+from identities import chart_sign, sturm_sequence, witness_sign
+from oracles import brute_force_distinct_roots, robust_circle_violation
 
 P = RationalPoly.from_coeffs
 
@@ -34,6 +36,13 @@ P = RationalPoly.from_coeffs
 P1 = P([0, 0, 0, 1])
 P2 = P([0, 0, 0, -12, 18, -6])
 P3 = P([0, 0, 0, 18, -18, 6])
+# the functions on the circle whose tangent charts they are: x^k reads
+# sin^k cos^(6-k)
+T1, T2, T3 = (
+    TrigPoly.from_terms((6 - k, k, c) for k, c in enumerate(q.coeffs))
+    for q in (P1, P2, P3)
+)
+SIN = TrigPoly.sinwave()
 
 
 def rand_poly(rng: random.Random, max_deg: int = 8, height: int = 100) -> RationalPoly:
@@ -463,51 +472,52 @@ class TestSignDecisions:
         assert sign_report_on_real_line(-P([0, 0, 1]))[0] == SignOnSet.NON_POSITIVE
 
     def test_implication_examples(self):
-        holds, witness = sign_implication(P1, "<0", P2, ">=0")
+        holds, witness = circle_implication(T1, -1, T2, 1)
         assert holds and witness is None
-        holds, witness = sign_implication(P1, ">0", P3, ">=0")
+        holds, witness = circle_implication(T1, 1, T3, 1)
         assert holds
-        holds, witness = sign_implication(P([0, 1]), "<0", P([0, 1]), ">=0")
+        holds, witness = circle_implication(SIN, -1, SIN, 1)
         assert not holds
-        assert witness is not None and witness < 0
+        assert witness is not None and witness_sign(SIN, witness) < 0
 
     def test_witnesses_are_exact(self):
         rng = random.Random(31)
         for _ in range(200):
-            a = rand_poly(rng, 4, 20)
-            b = rand_poly(rng, 4, 20)
+            a = random_trig_poly(rng, 4, 20)
+            b = random_trig_poly(rng, 4, 20)
             if a.is_zero or b.is_zero:
                 continue
-            cond_a = rng.choice(["<0", ">0"])
-            cond_b = rng.choice(["<=0", ">=0"])
-            holds, witness = sign_implication(a, cond_a, b, cond_b)
+            prem_dir = rng.choice([-1, 1])
+            concl_dir = rng.choice([-1, 1])
+            holds, witness = circle_implication(a, prem_dir, b, concl_dir)
             if not holds:
-                av, bv = a.evaluate(witness), b.evaluate(witness)
-                assert (av < 0) if cond_a == "<0" else (av > 0)
-                assert (bv > 0) if cond_b == "<=0" else (bv < 0)
+                assert witness_sign(a, witness) == prem_dir
+                assert witness_sign(b, witness) == -concl_dir
             else:
                 assert (
-                    robust_implication_violation(a, cond_a, b, cond_b, n_samples=20000)
+                    robust_circle_violation(a, prem_dir, b, concl_dir, n_samples=20000)
                     is None
                 )
 
+    @staticmethod
+    def assert_strict_on(ev, constraints):
+        """Each function has its strict sign at both ends of the chart
+        interval and no zero inside it."""
+        assert ev is not None
+        assert ev.lo < ev.hi
+        for f, want in constraints:
+            assert chart_sign(f, ev.chart, ev.lo) == want
+            assert chart_sign(f, ev.chart, ev.hi) == want
+            q = f.half_angle_chart()[0] if ev.chart == "half" else f.tan_chart()[0]
+            assert count_distinct_roots(q, ev.lo, ev.hi) == 0
+
     def test_find_strict_interval(self):
-        res = find_strict_interval([(P([0, 1]), -1)])
-        assert res is not None
-        lo, hi = res
-        assert lo < hi
-        assert P([0, 1]).evaluate(lo) < 0 and P([0, 1]).evaluate(hi) < 0
-        assert count_distinct_roots(P([0, 1]), lo, hi) == 0
+        self.assert_strict_on(circle_strict_interval([(SIN, -1)]), [(SIN, -1)])
 
     def test_find_strict_interval_multi(self):
         # a1 < 0 together with a2 > 0 in the tangent chart of the sextic case
-        res = find_strict_interval([(P1, -1), (P2, 1)])
-        assert res is not None
-        lo, hi = res
-        assert lo < hi
-        for q, want in ((P1, -1), (P2, 1)):
-            assert (1 if q.evaluate(lo) > 0 else -1) == want
-            assert count_distinct_roots(q, lo, hi) == 0
+        constraints = [(T1, -1), (T2, 1)]
+        self.assert_strict_on(circle_strict_interval(constraints), constraints)
 
     def test_find_strict_interval_none(self):
-        assert find_strict_interval([(P([0, 0, 1]), -1)]) is None
+        assert circle_strict_interval([(TrigPoly.sinwave(2), -1)]) is None
